@@ -28,6 +28,7 @@ from .measures import (
     entanglement_cost_lookup,
     eof_two_qubit,
     measure_triple,
+    measure_triples,
     wootters_concurrence,
 )
 from .monogamy import (

@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
         min_alpha=monogamy.min_alpha(t),
         theorem3=thm3,
         witness=witness,
-        residual_at_alpha=monogamy.residual(t, args.alpha) if args.alpha else None,
+        residual_at_alpha=None if args.alpha is None else monogamy.residual(t, args.alpha),
     )
     print(json.dumps(rec.to_json_dict(), indent=2))
     return EXIT_WITNESS if witness else EXIT_OK
@@ -153,9 +153,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     mid = MeasureId.from_string(args.measure)
-    dims = tuple(int(d) for d in args.dims.split(","))
     family = {"w": "w_class", "haar": "haar", "schmidt": "schmidt"}.get(args.family, args.family)
-    report = monogamy.sweep(dims, mid, args.y, args.samples, args.seed,
+    report = monogamy.sweep(args.dims.split(","), mid, args.y, args.samples, args.seed,
                             family=family, eps=args.eps)
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "sweep_report.json")

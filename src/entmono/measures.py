@@ -59,11 +59,26 @@ class MeasureTriple:
         return (self.e_abc, self.e_ab, self.e_ac)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0; elementwise."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < 1.0)
+    p = np.where(inside, x, 0.5)
+    h = np.where(inside, -p * np.log2(p) - (1.0 - p) * np.log1p(-p) / math.log(2.0), 0.0)
+    return h if h.ndim else float(h)
+
+
+def formation_of_concurrence(c):
+    """h((1 + sqrt(1 - C^2)) / 2) elementwise.
+
+    This is the entanglement of formation of a two-qubit state with
+    concurrence C (Wootters), and the entropy of a qubit marginal whose
+    pure-cut concurrence is C.  The smaller eigenvalue is evaluated as
+    C^2 / (2 (1 + sqrt(1 - C^2))), which does not cancel for small C.
+    """
+    c = np.asarray(c, dtype=float)
+    r = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    return binary_entropy(c * c / (2.0 * (1.0 + r)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -74,7 +89,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def concurrence_pure_cut(state: PureTripartiteState) -> float:
-    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2))."""
+    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2)).
+
+    Three-qubit states take the spin-flip kernel's extended-precision value,
+    the one their measure triples carry.
+    """
+    if state.dims == (2, 2, 2):
+        return float(spinflip_kernel(state.amps)[0, 0, 0])
     rho_a = reduced_density(state, "A")
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity(rho_a))))
 
@@ -124,8 +145,7 @@ def assistance_pure_cut(state: PureTripartiteState) -> float:
 
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Two-qubit entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
-    c = wootters_concurrence(rho)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return formation_of_concurrence(wootters_concurrence(rho))
 
 
 def entanglement_cost_lookup(name: str) -> MeasureTriple:
@@ -139,49 +159,67 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
     return MeasureTriple(LOG2_3, 1.0, 1.0, MeasureId.ENTANGLEMENT_COST_LOOKUP)
 
 
-# --- extended-precision pure-state fast path -------------------------------
+# --- the three-qubit spin-flip kernel ---------------------------------------
 #
-# For a three-qubit pure state the reduced pair states have rank <= 2 and
-# the whole spin-flip spectrum lives in a 2x2 complex symmetric matrix
-# built from tensor slices.  Doing that arithmetic in clongdouble removes
+# For a three-qubit pure state each reduced pair has rank <= 2, and its
+# nonzero spin-flip sqrt-spectrum (s1 >= s2) is the pair of singular values
+# of the 2x2 complex symmetric a = psi^T (Y x Y) psi, psi the 4x2 amplitude
+# block with the pair's basis as rows.  The pure A|BC cut has spectrum
+# (C, 0).  Each measure maps the spectra: C = s1 - s2, C_a = s1 + s2
+# (Laustsen-Verstraete-van Enk), E_F and S(rho_A) via
+# formation_of_concurrence.  One stacked product L @ MID @ R gives the cut
+# slot, rho_A = M 1 M^H (M the 2x4 block of A against BC, so tr(a^H a) is
+# Tr rho_A^2), and both pair slots; L and R index the amplitudes followed
+# by their conjugates.  The arithmetic runs in clongdouble, which removes
 # the cancellation error that otherwise dominates x-values with a tiny gap.
 
+_AB = np.arange(8).reshape(4, 2)                                     # rows |ab>, columns c
+_AC = np.arange(8).reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)  # rows |ac>, columns b
+_A_BC = np.arange(8).reshape(2, 4)                                    # rows a, columns |bc>
+_OPERANDS = np.concatenate([np.stack([_A_BC, _AB.T, _AC.T]).reshape(3, 8),
+                            np.stack([8 + _A_BC.T, _AB, _AC]).reshape(3, 8)])
+_MIDDLE = np.stack([np.eye(4), _YY, _YY]).astype(np.clongdouble)
+# 0-d longdouble operands: numpy applies them faster than scalars
+_ZERO, _TWO, _FOUR = (np.array(v, dtype=np.longdouble) for v in (0, 2, 4))
+_PLUS_MINUS = np.array([1, -1], dtype=np.longdouble)
 
-def _pair_sqrt_spectrum_pure(state: PureTripartiteState, partner: str) -> tuple[float, float]:
-    """(s1, s2) spin-flip sqrt-spectrum of the reduced A-partner pair.
 
-    Only the two possibly-nonzero values exist; requires a three-qubit state.
+def spinflip_kernel(amps) -> np.ndarray:
+    """Spin-flip spectra of the A|BC cut and the AB, AC pairs of pure states.
+
+    ``amps`` holds N three-qubit states' amplitudes, shape (N, 8) or
+    (N, 2, 2, 2).  Returns a float array (N, 3, 2): row 0 is (C, 0) with C
+    the concurrence of the A|BC cut, rows 1 and 2 are (s1, s2) of the AB
+    and AC pairs, s1 >= s2.
     """
-    t = state.tensor.astype(np.clongdouble)
+    t = np.asarray(amps).reshape(-1, 8).astype(np.clongdouble)
+    tt = np.concatenate((t, t.conj()), axis=1)
     # stored amplitudes carry a one-ulp normalization error; divide it out
     # so cut and pair values refer to exactly the same normalized vector
-    nsq = np.real(np.vdot(t.ravel(), t.ravel()))
-    if partner == "B":
-        psi = t.reshape(4, 2)                      # rows |ab>, columns c
-    else:
-        psi = np.transpose(t, (0, 2, 1)).reshape(4, 2)
-    yy = _YY.astype(np.clongdouble)
-    a = psi.T @ yy @ psi                           # 2x2 complex symmetric
-    # singular values of a 2x2 from trace/det of a^H a, closed form
-    m = a.conj().T @ a
-    tr = np.real(m[0, 0] + m[1, 1])
-    det = np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    disc = np.sqrt(np.maximum(np.longdouble(0.0), tr * tr - 4.0 * det))
-    s1 = np.sqrt((tr + disc) / 2.0) / nsq
-    s2sq = (tr - disc) / 2.0
-    s2 = (np.sqrt(s2sq) if s2sq > 0 else np.longdouble(0.0)) / nsq
-    return float(s1), float(s2)
+    nsq = (tt[:, None, 8:] @ t[:, :, None]).real[:, 0]
+    ops = tt[:, _OPERANDS]
+    a = ops[:, :3].reshape(-1, 3, 2, 4) @ _MIDDLE @ ops[:, 3:].reshape(-1, 3, 4, 2)
+    m = a.conj().swapaxes(-1, -2) @ a
+    m00, m01, m10, m11 = m.reshape(-1, 3, 4).transpose(2, 0, 1)
+    tr = (m00 + m11).real
+    det = (m00 * m11 - m01 * m10).real
+    out = np.zeros((len(t), 3, 2), dtype=np.longdouble)
+    nn = nsq[:, 0] * nsq[:, 0]
+    np.sqrt(np.maximum(_TWO * (nn - tr[:, 0]) / nn, _ZERO), out=out[:, 0, 0])
+    tr_pair = tr[:, 1:]
+    disc = np.sqrt(np.maximum(_ZERO, tr_pair * tr_pair - _FOUR * det[:, 1:]))
+    s = np.sqrt(np.maximum((tr_pair[..., None] + disc[..., None] * _PLUS_MINUS) / _TWO, _ZERO))
+    np.divide(s, nsq[..., None], out=out[:, 1:])
+    return out.astype(float)
 
 
-def _pure_cut_concurrence_ld(state: PureTripartiteState) -> float:
-    """Pure-cut concurrence sqrt(2 (1 - Tr rho_A^2)) in extended precision."""
-    t = state.tensor.astype(np.clongdouble)
-    nsq = np.real(np.vdot(t.ravel(), t.ravel()))
-    m = t.reshape(state.dims[0], -1)
-    rho_a = m @ m.conj().T
-    pur = np.real(np.trace(rho_a @ rho_a))
-    val = 2.0 * (nsq * nsq - pur) / (nsq * nsq)
-    return float(np.sqrt(val)) if val > 0 else 0.0
+def _three_qubit_triples(amps, mid: MeasureId) -> np.ndarray:
+    """(N, 3) rows (E_A|BC, E_AB, E_AC) of three-qubit states from the kernel."""
+    spectra = spinflip_kernel(amps)
+    if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
+        return spectra[..., 0] + spectra[..., 1]
+    c = spectra[..., 0] - spectra[..., 1]  # s1 >= s2, so C >= 0
+    return formation_of_concurrence(c) if mid is MeasureId.EOF else c
 
 
 # --- assisted concurrence for a qubit-qudit pair ---------------------------
@@ -265,18 +303,11 @@ def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
 
 # --- triple assembly --------------------------------------------------------
 
-
-def _pair_value(state, partner, kernel):
-    """Two-qubit kernel on a reduced pair, or the assisted route for C_a."""
-    dA, dB, dC = state.dims
-    d_partner = dB if partner == "B" else dC
-    if dA == 2 and d_partner == 2:
-        return kernel(reduced_density(state, "A" + partner))
-    if kernel is concurrence_of_assistance:
-        return assisted_concurrence(state, partner)
-    raise MeasureError(
-        f"pair A{partner} has dims ({dA},{d_partner}); the two-qubit kernel needs (2,2)"
-    )
+def _assisted_pair(state, partner):
+    """C_a of the pair A-partner: closed form for two qubits, else the search."""
+    if state.dims[1 if partner == "B" else 2] == 2:
+        return concurrence_of_assistance(reduced_density(state, "A" + partner))
+    return assisted_concurrence(state, partner)
 
 
 def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
@@ -286,52 +317,36 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
     assistance requires qubit A and at least one qubit among B, C; the
     non-qubit pair (if any) is handled by the assisted-ensemble search.
     Entanglement cost is lookup-only (see entanglement_cost_lookup).
+    Three-qubit triples come from the spin-flip kernel.
     """
-    dA, dB, dC = state.dims
-    if mid is MeasureId.CONCURRENCE:
-        if (dA, dB, dC) != (2, 2, 2):
-            raise MeasureError(
-                f"concurrence triple needs dims (2,2,2), got {state.dims}: "
-                "the two-qubit Wootters kernel applies to both reduced pairs"
-            )
-        s_ab = _pair_sqrt_spectrum_pure(state, "B")
-        s_ac = _pair_sqrt_spectrum_pure(state, "C")
-        return MeasureTriple(
-            _pure_cut_concurrence_ld(state),
-            max(0.0, s_ab[0] - s_ab[1]),
-            max(0.0, s_ac[0] - s_ac[1]),
-            mid,
-        )
-    if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
-        if dA != 2:
-            raise MeasureError("assistance triple needs d_A = 2 for the A|BC cut")
-        if (dB, dC) == (2, 2):
-            s_ab = _pair_sqrt_spectrum_pure(state, "B")
-            s_ac = _pair_sqrt_spectrum_pure(state, "C")
-            return MeasureTriple(
-                _pure_cut_concurrence_ld(state), sum(s_ab), sum(s_ac), mid
-            )
-        return MeasureTriple(
-            assistance_pure_cut(state),
-            _pair_value(state, "B", concurrence_of_assistance),
-            _pair_value(state, "C", concurrence_of_assistance),
-            mid,
-        )
-    if mid is MeasureId.EOF:
-        if (dA, dB, dC) != (2, 2, 2):
-            raise MeasureError(
-                f"EoF triple needs dims (2,2,2), got {state.dims}: "
-                "the concurrence-based kernel applies to both reduced pairs"
-            )
-        return MeasureTriple(
-            von_neumann_entropy(reduced_density(state, "A")),
-            eof_two_qubit(reduced_density(state, "AB")),
-            eof_two_qubit(reduced_density(state, "AC")),
-            mid,
-        )
     if mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
         raise MeasureError(
             "entanglement cost is not computable from amplitudes; "
             "use entanglement_cost_lookup with a named state"
         )
-    raise MeasureError(f"unhandled measure {mid}")
+    if state.dims == (2, 2, 2):
+        return MeasureTriple(*_three_qubit_triples(state.amps, mid)[0].tolist(), mid)
+    if mid is not MeasureId.CONCURRENCE_OF_ASSISTANCE:
+        raise MeasureError(
+            f"{mid.value} triple needs dims (2,2,2), got {state.dims}: "
+            "the two-qubit spin-flip kernel applies to both reduced pairs"
+        )
+    if state.dims[0] != 2:
+        raise MeasureError("assistance triple needs d_A = 2 for the A|BC cut")
+    return MeasureTriple(
+        assistance_pure_cut(state), _assisted_pair(state, "B"), _assisted_pair(state, "C"), mid
+    )
+
+
+def measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
+    """(N, 3) triples of N states given as unit-norm amplitude rows.
+
+    Three-qubit rows go through the spin-flip kernel in one call; other
+    dims evaluate measure_triple state by state.
+    """
+    dims = tuple(dims)
+    if dims != (2, 2, 2) or mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
+        return np.array(
+            [measure_triple(PureTripartiteState(dims, a), mid).as_tuple() for a in amps]
+        ).reshape(-1, 3)
+    return _three_qubit_triples(amps, mid)

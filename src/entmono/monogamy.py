@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect
@@ -78,6 +78,48 @@ def _split(t: MeasureTriple):
     return t.e_abc, hi, lo
 
 
+def _check_positive(name, v):
+    if not (math.isfinite(v) and v > 0):
+        raise DomainError(f"{name} must be finite and positive, got {v}")
+
+
+def _check_eps(eps):
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and non-negative, got {eps}")
+
+
+_KINDS = (XKind.ZERO, XKind.FINITE, XKind.UNBOUNDED)
+
+
+def _pow(values, y):
+    """values ** y by Python's float power, which numpy's array power does
+    not match bit for bit; y is a float or an array as long as values."""
+    ys = y.tolist() if isinstance(y, np.ndarray) else [y] * len(values)
+    return np.array([v ** e for v, e in zip(values.tolist(), ys)])
+
+
+def _classify(cut, hi, lo, y, eps):
+    """The x-rule on 1-D arrays of (cut, max pair, min pair) values.
+
+    Returns (kind, x, violation): kind indexes _KINDS.  Zero when min^y is
+    below eps (this takes precedence when the gap vanishes too); Unbounded
+    when the gap cut^y - max^y is below eps or not positive, or when the cut
+    value lies below the larger pair value by more than eps (a monotonicity
+    violation, whose negative gap counts as vanished); else Finite with
+    x = min^y / gap.
+    """
+    m = _pow(lo, y)
+    gap = _pow(cut, y) - _pow(hi, y)
+    violation = cut < hi - eps
+    zero = m < eps
+    unbounded = ~zero & (violation | (gap < eps) | (gap <= 0.0))
+    finite = ~(zero | unbounded)
+    x = np.zeros(len(m))
+    x[unbounded] = math.inf
+    np.divide(m, gap, out=x, where=finite)
+    return finite + 2 * unbounded, x, violation
+
+
 def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
     """Classify the solution of the x-equation at exponent y.
 
@@ -86,26 +128,20 @@ def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
     smaller pair value are at least eps; Unbounded when the gap vanishes
     but the smaller pair value does not.
     """
-    if y <= 0:
-        raise DomainError(f"exponent y must be positive, got {y}")
+    _check_positive("exponent y", y)
+    _check_eps(eps)
     cut, hi, lo = _split(t)
-    if cut < hi - eps:
+    kind, x, violation = _classify(np.array([cut]), np.array([hi]), np.array([lo]), y, eps)
+    if violation[0]:
         raise MonotonicityError(
             f"cut value {cut} below larger pair value {hi} beyond eps={eps}"
         )
-    gap = cut ** y - hi ** y
-    m = lo ** y
-    if m < eps:
-        return XSolution(XKind.ZERO, y, 0.0)
-    if gap < eps:
-        return XSolution(XKind.UNBOUNDED, y, math.inf)
-    return XSolution(XKind.FINITE, y, m / gap)
+    return XSolution(_KINDS[kind[0]], y, float(x[0]))
 
 
 def residual(t: MeasureTriple, alpha: float) -> float:
     """E^a(A|BC) - E^a(AB) - E^a(AC); non-negative iff monogamous at alpha."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    _check_positive("alpha", alpha)
     return t.e_abc ** alpha - t.e_ab ** alpha - t.e_ac ** alpha
 
 
@@ -145,6 +181,7 @@ def is_theorem2_witness(t: MeasureTriple, eps: float = DEFAULT_EPS) -> bool:
 
     Such a state rules out monogamy at every exponent.
     """
+    _check_eps(eps)
     cut, hi, lo = _split(t)
     if cut < hi - eps:
         raise MonotonicityError(
@@ -161,8 +198,8 @@ def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> 
     bracket failure), else the root of the residual found by bisection on
     [tol, 64].
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_positive("tol", tol)
+    _check_eps(eps)
     cut, hi, lo = _split(t)
     if cut < hi - eps:
         raise MonotonicityError(f"cut value {cut} below larger pair value {hi}")
@@ -185,13 +222,19 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
     reachable from the x-equation for this triple; requires a finite x at
     every grid point.
     """
-    rows = []
-    for y in y_grid:
-        sol = solve_x(t, float(y))
-        if sol.kind is not XKind.FINITE:
-            raise DomainError(f"x is {sol.kind.value} at y={y}; curve undefined")
-        rows.append((float(y), sol.x * float(y), float(y)))
-    return rows
+    y = np.asarray(y_grid, dtype=float)
+    for v in y.tolist():
+        _check_positive("exponent y", v)
+    cut, hi, lo = (np.full(len(y), v) for v in _split(t))
+    kind, x, violation = _classify(cut, hi, lo, y, DEFAULT_EPS)
+    if violation.any():
+        raise MonotonicityError(
+            f"cut value {cut[0]} below larger pair value {hi[0]} beyond eps={DEFAULT_EPS}"
+        )
+    for k, v in zip(kind.tolist(), y.tolist()):
+        if k != 1:
+            raise DomainError(f"x is {_KINDS[k].value} at y={v}; curve undefined")
+    return list(zip(y.tolist(), (x * y).tolist(), y.tolist()))
 
 
 # --- Monte-Carlo sweeps -----------------------------------------------------
@@ -252,64 +295,79 @@ class SweepReport:
         }
 
 
-def _sample_state(dims, family, seq):
+def _family_amps(dims, family, seqs):
+    """Unit amplitude rows of the family's states drawn from the seed sequences.
+
+    Each state draws from its own PCG64 stream: haar takes 2 dA dB dC
+    normals (real parts, then imaginary parts); w_class takes 8 normals for
+    b0|000> + b1|100> + b2|010> + b3|001>; schmidt takes 5 normals, whose
+    absolute values are l0..l4, then a uniform phase for
+    l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>.  The
+    normalizations run on all rows at once with the arithmetic of the
+    one-state constructors in ``states``.
+    """
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}; known: {FAMILIES}")
+    if family != "haar" and tuple(dims) != (2, 2, 2):
+        raise DomainError(f"{family} family is defined on dims (2,2,2)")
+    total = dims[0] * dims[1] * dims[2]
+    raw = np.empty((len(seqs), {"haar": 2 * total, "w_class": 8, "schmidt": 6}[family]))
+    for row, seq in zip(raw, seqs):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        if family == "schmidt":
+            rng.standard_normal(out=row[:5])
+            row[5] = rng.uniform(0.0, 2.0 * math.pi)
+        else:
+            rng.standard_normal(out=row)
     if family == "haar":
-        return _states.haar_random(dims, seq)
-    rng = np.random.Generator(np.random.PCG64(seq))
+        return _states.unit_rows(raw[:, :total] + 1j * raw[:, total:])
+    amps = np.zeros((len(raw), 8), dtype=complex)
     if family == "w_class":
-        if tuple(dims) != (2, 2, 2):
-            raise DomainError("w_class family is defined on dims (2,2,2)")
-        raw = rng.standard_normal(8)
-        b = raw[:4] + 1j * raw[4:]
-        b /= np.linalg.norm(b)
-        return _states.w_class(*b)
-    if family == "schmidt":
-        if tuple(dims) != (2, 2, 2):
-            raise DomainError("schmidt family is defined on dims (2,2,2)")
-        lam = np.abs(rng.standard_normal(5))
-        lam /= np.linalg.norm(lam)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        return _states.from_schmidt(_states.SchmidtParams(tuple(lam), phi))
-    raise DomainError(f"unknown family {family!r}; known: {FAMILIES}")
+        amps[:, [0, 4, 2, 1]] = _states.unit_rows(raw[:, :4] + 1j * raw[:, 4:])
+    else:
+        lam = _states.unit_rows(np.abs(raw[:, :5]))
+        amps[:, [0, 5, 6, 7]] = lam[:, [0, 2, 3, 4]]
+        amps[:, 4] = lam[:, 1] * np.exp(1j * raw[:, 5])
+    return _states.unit_rows(amps)
+
+
+def _sample_state(dims, family, seq):
+    """The state of one sweep sample from its SeedSequence((seed, index)).
+
+    Replays any sample, e.g. a witness, by its index alone.
+    """
+    return _states.PureTripartiteState(tuple(dims), _family_amps(dims, family, [seq])[0])
 
 
 def _sweep_chunk(args):
     dims, mid_value, family, y, eps, master_seed, start, stop = args
     mid = MeasureId(mid_value)
-    zero = finite = unbounded = violations = 0
-    finite_xs = []
-    witnesses = []
-    for i in range(start, stop):
-        seq = np.random.SeedSequence((master_seed, i))
-        state = _sample_state(dims, family, seq)
-        t = _measures.measure_triple(state, mid)
-        cut, hi, lo = _split(t)
-        if cut < hi - eps:
-            violations += 1
-            # classify anyway, treating the (negative) gap as vanished
-            if lo ** y < eps:
-                zero += 1
-            else:
-                unbounded += 1
-                witnesses.append((i, t))
-            continue
-        sol = solve_x(t, y, eps)
-        if sol.kind is XKind.ZERO:
-            zero += 1
-        elif sol.kind is XKind.FINITE:
-            finite += 1
-            finite_xs.append(sol.x)
-        else:
-            unbounded += 1
-            witnesses.append((i, t))
-    return zero, finite, unbounded, violations, finite_xs, witnesses
+    amps = _family_amps(
+        dims, family, [np.random.SeedSequence((master_seed, i)) for i in range(start, stop)]
+    )
+    triples = _measures.measure_triples(dims, amps, mid)
+    hi = np.maximum(triples[:, 1], triples[:, 2])
+    lo = np.minimum(triples[:, 1], triples[:, 2])
+    kind, x, violation = _classify(triples[:, 0], hi, lo, y, eps)
+    counts = np.bincount(kind, minlength=3)
+    witnesses = [
+        (start + int(k), MeasureTriple(*triples[k].tolist(), mid))
+        for k in np.flatnonzero(kind == 2)
+    ]
+    return (int(counts[0]), int(counts[1]), int(counts[2]), int(violation.sum()),
+            x[kind == 1], witnesses)
 
 
 def _worker_count(n_chunks):
-    cap = os.environ.get("MONO_THREADS")
-    workers = os.cpu_count() or 1
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        workers = os.cpu_count() or 1
+    cap = os.environ.get("MONO_THREADS", "").strip()
     if cap:
-        workers = max(1, min(workers, int(cap)))
+        if not cap.isdecimal() or int(cap) < 1:
+            raise DomainError(f"MONO_THREADS must be a positive integer, got {cap!r}")
+        workers = min(workers, int(cap))
     return max(1, min(workers, n_chunks))
 
 
@@ -319,13 +377,14 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 
     Sampling is deterministic in (seed, sample index), so results do not
     depend on the worker count.  Workers fan out over fixed-size chunks;
-    MONO_THREADS caps the pool.
+    MONO_THREADS caps the pool.  Each chunk evaluates and classifies its
+    samples in one batch.
     """
     if n < 1:
         raise DomainError(f"need at least one sample, got {n}")
-    dims = tuple(int(d) for d in dims)
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; known: {FAMILIES}")
+    _check_positive("exponent y", y)
+    _check_eps(eps)
+    dims = _states._check_dims(dims)
     # fail fast on unsupported measure/dims before burning samples
     _measures.measure_triple(_sample_state(dims, family, np.random.SeedSequence((seed, 0))), mid)
 
@@ -343,19 +402,9 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     else:
         results = [_sweep_chunk(c) for c in chunks]
 
-    zero = finite = unbounded = violations = 0
-    finite_xs = []
-    witnesses = []
-    for z, f, u, v, xs, ws in results:
-        zero += z
-        finite += f
-        unbounded += u
-        violations += v
-        finite_xs.extend(xs)
-        witnesses.extend(ws)
-    witnesses.sort(key=lambda iw: iw[0])
-
-    finite_arr = np.asarray(finite_xs)
+    zero, finite, unbounded, violations = (sum(r[k] for r in results) for k in range(4))
+    witnesses = [w for r in results for w in r[5]]
+    finite_arr = np.concatenate([r[4] for r in results])
     max_x = float(finite_arr.max()) if finite else 0.0
     histogram = []
     if finite:
@@ -378,7 +427,7 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 def certify_per_state(t: MeasureTriple) -> Certificate:
     """Per-state exponent certificate log_b 2 with its verified residual."""
     b = per_state_base(t)
-    alpha = math.log(2.0) / math.log(b)
+    alpha = theorem3_alpha(t)
     return Certificate(
         CertificateKind.THEOREM3_PER_STATE,
         alpha,

@@ -51,9 +51,6 @@ class PureTripartiteState:
         """Amplitudes reshaped to (dA, dB, dC)."""
         return self.amps.reshape(self.dims)
 
-    def reduced(self, keep: str) -> "DensityMatrix":
-        return reduced_density(self, keep)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -105,7 +102,10 @@ class SchmidtParams:
 
 
 def _check_dims(dims):
-    dims = tuple(int(d) for d in dims)
+    try:
+        dims = tuple(int(d) for d in dims)
+    except (TypeError, ValueError):
+        raise StateError(f"dims must be three positive integers, got {dims!r}") from None
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise StateError(f"dims must be three positive integers, got {dims}")
     total = dims[0] * dims[1] * dims[2]
@@ -133,10 +133,22 @@ def pure_state_new(dims, amplitudes) -> PureTripartiteState:
     return PureTripartiteState(dims, amps / norm, abs(norm - 1.0) > NORM_WARN_TOL)
 
 
+def unit_rows(v) -> np.ndarray:
+    """The rows of a 2-D array, each divided by its 2-norm.
+
+    The arithmetic is that of ``v[k] / np.linalg.norm(v[k])``, one BLAS dot
+    per real and imaginary part, so a batch of rows normalizes bit for bit
+    like the same rows one at a time.
+    """
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    sq = sum(p[:, None, :] @ p[:, :, None] for p in parts)
+    return v / np.sqrt(sq[:, 0])
+
+
 def _exact_state(dims, amps) -> PureTripartiteState:
     """Internal constructor for vectors that are unit-norm by construction."""
     amps = np.asarray(amps, dtype=complex).ravel()
-    return PureTripartiteState(tuple(dims), amps / np.linalg.norm(amps))
+    return PureTripartiteState(tuple(dims), unit_rows(amps[None])[0])
 
 
 def from_schmidt(p: SchmidtParams) -> PureTripartiteState:

@@ -152,6 +152,53 @@ class TestSweep:
              "--out", str(tmp_path)], capsys)
         assert code == 1
 
+    def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch):
+        reports = []
+        for threads in ("2", "1"):
+            monkeypatch.setenv("MONO_THREADS", threads)
+            out = tmp_path / threads
+            code, _, _ = run_cli(
+                ["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "2048",
+                 "--seed", "17", "--out", str(out)], capsys)
+            assert code == 0
+            reports.append((out / "sweep_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestRejectedInputs:
+    """Bad exponents, tolerances, dims and thread caps exit 1 with a message."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--y", "inf"], ["--y", "nan"], ["--y", "0"], ["--y", "-2"],
+        ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
+        ["--dims", "a,b,c"], ["--dims", "2,2,x"],
+    ])
+    def test_sweep(self, tmp_path, capsys, extra):
+        code, out, err = run_cli(
+            ["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "50",
+             "--out", str(tmp_path)] + extra, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "sweep_report.json").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--y", "nan"], ["--y", "inf"], ["--eps", "-1"], ["--alpha", "nan"], ["--alpha", "0"],
+    ])
+    def test_analyze(self, capsys, extra):
+        code, out, err = run_cli(["analyze", "--example", "w", "--measure", "c"] + extra, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("cap", ["x", "0"])
+    def test_thread_cap(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MONO_THREADS", cap)
+        code, _, err = run_cli(
+            ["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "50",
+             "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "MONO_THREADS" in err
+
 
 class TestCertify:
     def test_thm3_afs(self, capsys):

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entmono import (
     DensityMatrix,
@@ -18,13 +20,21 @@ from entmono import (
     ghz,
     haar_random,
     measure_triple,
+    measure_triples,
     pure_state_new,
     reduced_density,
     w_class,
     w_state,
     wootters_concurrence,
 )
-from entmono.measures import LOG2_3, _YY, binary_entropy, spinflip_sqrt_spectrum
+from entmono.measures import (
+    LOG2_3,
+    _YY,
+    binary_entropy,
+    spinflip_kernel,
+    spinflip_sqrt_spectrum,
+    von_neumann_entropy,
+)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -249,3 +259,71 @@ class TestSpectrum:
             mu = np.linalg.eigvals(dm.mat @ rho_t)
             ref = np.sort(np.sqrt(np.clip(mu.real, 0, None)))[::-1]
             assert np.allclose(s, ref, atol=1e-10)
+
+
+# --- the batched three-qubit kernel against the mixed-state formulas --------
+
+_COEF = st.floats(0.01, 1.0)
+_PHASE = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def three_qubit_states(draw):
+    """Haar, W-class and Schmidt-form states, coefficients bounded away from 0.
+
+    The bound keeps the reduced pairs away from near-zero eigenvalues, where
+    the mixed-state reference clips its spectrum at 1e-14.
+    """
+    family = draw(st.sampled_from(["haar", "w_class", "schmidt"]))
+    if family == "haar":
+        return haar_random((2, 2, 2), draw(st.integers(0, 2**32 - 1)))
+    if family == "w_class":
+        b = np.array([draw(_COEF) * cmath.exp(1j * draw(_PHASE)) for _ in range(4)])
+        return w_class(*(b / np.linalg.norm(b)))
+    lam = np.array([draw(_COEF) for _ in range(5)])
+    return from_schmidt(SchmidtParams(tuple(lam / np.linalg.norm(lam)), draw(_PHASE)))
+
+
+def reference_triples(state):
+    """Triples from reduced density matrices and the two-qubit mixed-state kernels.
+
+    The cut concurrence is 2 s1 s2 from the Schmidt coefficients of A|BC:
+    sqrt(2 (1 - Tr rho_A^2)) in double precision cancels for near-product
+    cuts by more than the tolerance.
+    """
+    rho_a, rho_ab, rho_ac = (reduced_density(state, k) for k in ("A", "AB", "AC"))
+    s1, s2 = np.linalg.svd(state.tensor.reshape(2, 4), compute_uv=False)
+    cut = 2.0 * s1 * s2
+    return {
+        MeasureId.CONCURRENCE: (cut, wootters_concurrence(rho_ab), wootters_concurrence(rho_ac)),
+        MeasureId.CONCURRENCE_OF_ASSISTANCE: (
+            cut, concurrence_of_assistance(rho_ab), concurrence_of_assistance(rho_ac)),
+        MeasureId.EOF: (von_neumann_entropy(rho_a), eof_two_qubit(rho_ab), eof_two_qubit(rho_ac)),
+    }
+
+
+class TestSpinFlipKernel:
+    @given(st.lists(three_qubit_states(), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_triples_match_mixed_state_formulas(self, batch):
+        amps = np.array([s.amps for s in batch])
+        for mid in (MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE, MeasureId.EOF):
+            batched = measure_triples((2, 2, 2), amps, mid)
+            for state, row in zip(batch, batched):
+                single = measure_triple(state, mid).as_tuple()
+                assert tuple(row.tolist()) == single  # N = 1 and the batch agree bit for bit
+                assert np.allclose(single, reference_triples(state)[mid], rtol=0, atol=1e-12)
+
+    def test_spectra_layout(self):
+        spectra = spinflip_kernel(np.array([w_state().amps, ghz().amps]))
+        assert spectra.shape == (2, 3, 2)
+        # W: cut (2 sqrt(2)/3, 0); each pair has s1 = 2/3 and s2 = 0
+        assert spectra[0] == pytest.approx(
+            np.array([[2 * math.sqrt(2) / 3, 0.0], [2 / 3, 0.0], [2 / 3, 0.0]]), abs=1e-15)
+        # GHZ: the pairs are separable with equal spectra (1/2, 1/2)
+        assert spectra[1] == pytest.approx(
+            np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
+
+    def test_pure_cut_uses_kernel(self):
+        s = haar_random((2, 2, 2), 8)
+        assert concurrence_pure_cut(s) == measure_triple(s, MeasureId.CONCURRENCE).e_abc

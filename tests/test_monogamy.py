@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from entmono import (
     example_223,
     from_schmidt,
     ghz,
+    haar_random,
     is_theorem2_witness,
     measure_triple,
     min_alpha,
@@ -28,8 +30,10 @@ from entmono import (
     sweep,
     theorem3_alpha,
     theorem3_alpha_relaxed,
+    w_class,
 )
 from entmono.measures import LOG2_3
+from entmono.monogamy import _KINDS, _classify, _family_amps, _sample_state, _worker_count
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -71,6 +75,18 @@ class TestSolveX:
         with pytest.raises(DomainError):
             solve_x(triple(1, 0.5, 0.5), 0.0)
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_y(self, y):
+        with pytest.raises(DomainError, match="finite and positive"):
+            solve_x(triple(1, 0.5, 0.5), y)
+
+    @pytest.mark.parametrize("eps", [-1e-9, math.inf, math.nan])
+    def test_bad_eps(self, eps):
+        with pytest.raises(DomainError, match="eps"):
+            solve_x(triple(1, 0.5, 0.5), 2.0, eps)
+        with pytest.raises(DomainError, match="eps"):
+            is_theorem2_witness(triple(1, 0.5, 0.5), eps)
+
     @given(
         st.floats(0.01, 1.0),
         st.floats(0.0, 1.0),
@@ -100,6 +116,11 @@ class TestResidual:
     def test_w_state_at_two(self):
         t = triple(2 * math.sqrt(2) / 3, 2 / 3, 2 / 3)
         assert residual(t, 2.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, math.inf, math.nan])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            residual(triple(1, 0.5, 0.5), alpha)
 
 
 class TestAlphaFromBound:
@@ -308,3 +329,111 @@ class TestCertificates:
     def test_per_state_outside_domain(self):
         with pytest.raises(DomainError):
             certify_per_state(triple(1, 1, 0.5))
+
+
+def _per_sample_rule(cut, hi, lo, y, eps):
+    """The rule sweeps applied sample by sample before chunks were classified
+    as arrays; a gap of exactly 0 at eps = 0, which it divided by, now counts
+    as vanished."""
+    cut, hi, lo = float(cut), float(hi), float(lo)
+    if cut < hi - eps:  # a violation: the negative gap counts as vanished
+        return (XKind.ZERO, 0.0) if lo ** y < eps else (XKind.UNBOUNDED, math.inf)
+    gap = cut ** y - hi ** y
+    m = lo ** y
+    if m < eps:
+        return XKind.ZERO, 0.0
+    if gap < eps or gap == 0.0:
+        return XKind.UNBOUNDED, math.inf
+    return XKind.FINITE, m / gap
+
+
+class TestClassify:
+    def test_matches_per_sample_rule(self):
+        rng = np.random.default_rng(12)
+        cut = rng.uniform(0.0, 1.0, 4000)
+        hi = cut * rng.uniform(0.5, 1.05, cut.size)  # some violate monotonicity
+        lo = hi * rng.uniform(0.0, 1.0, cut.size)
+        hi[:200] = cut[:200]  # vanishing gaps
+        lo[200:400] = 1e-6  # vanishing smaller pair values
+        seen = set()
+        for y, eps in ((2.0, 1e-9), (0.5, 1e-3), (3.0, 0.0)):
+            kind, x, violation = _classify(cut, hi, lo, y, eps)
+            for k in range(cut.size):
+                ref = _per_sample_rule(cut[k], hi[k], lo[k], y, eps)
+                assert (_KINDS[kind[k]], x[k]) == ref
+                assert violation[k] == (cut[k] < hi[k] - eps)
+                seen.add((ref[0], bool(violation[k])))
+        assert seen == {(kind, v) for kind in XKind for v in (False, True)} - {(XKind.FINITE, True)}
+
+
+GOLDENS = json.loads((Path(__file__).parent / "data" / "sweep_goldens.json").read_text())
+
+
+def _golden_id(case):
+    dims = "".join(map(str, case["dims"]))
+    return f"{case['measure']}-{case['family']}-{dims}-y{case['y']}-eps{case['eps']}"
+
+
+class TestSweepGoldens:
+    """Sweeps recorded with the per-sample implementation that preceded the
+    batched kernel and chunk classifier.
+
+    c and ca values must match bit for bit.  eof values now come from the
+    spectral formula instead of eigenvalue and SVD routines, so their
+    largest x may move in the last digits.  The recording was made on
+    x86-64 Linux with numpy's bundled OpenBLAS; a BLAS that sums the
+    normalization dot products in another order moves the last bits too.
+    """
+
+    @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
+    def test_matches_recorded(self, case):
+        r = sweep(tuple(case["dims"]), MeasureId(case["measure"]), case["y"], case["samples"],
+                  GOLDENS["seed"], family=case["family"], eps=case["eps"]).to_json_dict()
+        for key in ("zero_count", "finite_count", "unbounded_count",
+                    "monotonicity_violations", "witnesses"):
+            assert r[key] == case[key], key
+        if case["measure"] == "eof":
+            assert r["max_finite_x"] == pytest.approx(case["max_finite_x"], rel=1e-14, abs=0)
+        else:
+            assert r["max_finite_x"] == case["max_finite_x"]
+
+
+def _constructor_state(dims, family, seq):
+    """A sweep sample built by the public one-state constructors."""
+    if family == "haar":
+        return haar_random(dims, seq)
+    rng = np.random.Generator(np.random.PCG64(seq))
+    if family == "w_class":
+        raw = rng.standard_normal(8)
+        b = raw[:4] + 1j * raw[4:]
+        return w_class(*(b / np.linalg.norm(b)))
+    lam = np.abs(rng.standard_normal(5))
+    lam /= np.linalg.norm(lam)
+    return from_schmidt(SchmidtParams(tuple(lam), rng.uniform(0.0, 2.0 * math.pi)))
+
+
+class TestChunkSampling:
+    @pytest.mark.parametrize("dims,family", [
+        ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
+    ])
+    def test_replay_matches_chunk(self, dims, family):
+        seqs = [np.random.SeedSequence((31, i)) for i in range(500, 540)]
+        amps = _family_amps(dims, family, seqs)
+        for row, seq in zip(amps, seqs):
+            assert row.tobytes() == _sample_state(dims, family, seq).amps.tobytes()
+            assert row.tobytes() == _constructor_state(dims, family, seq).amps.tobytes()
+
+
+class TestWorkerCount:
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("MONO_THREADS", "1")
+        assert _worker_count(10) == 1
+        monkeypatch.delenv("MONO_THREADS")
+        assert 1 <= _worker_count(10) <= 10
+        assert _worker_count(1) == 1
+
+    @pytest.mark.parametrize("cap", ["x", "0", "-2", "1.5"])
+    def test_bad_cap(self, monkeypatch, cap):
+        monkeypatch.setenv("MONO_THREADS", cap)
+        with pytest.raises(DomainError, match="MONO_THREADS"):
+            _worker_count(10)
