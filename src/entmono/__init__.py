@@ -28,7 +28,6 @@ from .measures import (
     entanglement_cost_lookup,
     eof_two_qubit,
     measure_triple,
-    measure_triples,
     wootters_concurrence,
 )
 from .monogamy import (

@@ -89,13 +89,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def concurrence_pure_cut(state: PureTripartiteState) -> float:
-    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2)).
-
-    Three-qubit states take the spin-flip kernel's extended-precision value,
-    the one their measure triples carry.
-    """
-    if state.dims == (2, 2, 2):
-        return float(spinflip_kernel(state.amps)[0, 0, 0])
+    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2))."""
     rho_a = reduced_density(state, "A")
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity(rho_a))))
 
@@ -338,7 +332,7 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
     )
 
 
-def measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
+def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     """(N, 3) triples of N states given as unit-norm amplitude rows.
 
     Three-qubit rows go through the spin-flip kernel in one call; other

@@ -239,8 +239,6 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
 
 # --- Monte-Carlo sweeps -----------------------------------------------------
 
-FAMILIES = ("haar", "w_class", "schmidt")
-
 _SWEEP_CHUNK = 512
 
 
@@ -295,57 +293,21 @@ class SweepReport:
         }
 
 
-def _family_amps(dims, family, seqs):
-    """Unit amplitude rows of the family's states drawn from the seed sequences.
-
-    Each state draws from its own PCG64 stream: haar takes 2 dA dB dC
-    normals (real parts, then imaginary parts); w_class takes 8 normals for
-    b0|000> + b1|100> + b2|010> + b3|001>; schmidt takes 5 normals, whose
-    absolute values are l0..l4, then a uniform phase for
-    l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>.  The
-    normalizations run on all rows at once with the arithmetic of the
-    one-state constructors in ``states``.
-    """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}; known: {FAMILIES}")
-    if family != "haar" and tuple(dims) != (2, 2, 2):
-        raise DomainError(f"{family} family is defined on dims (2,2,2)")
-    total = dims[0] * dims[1] * dims[2]
-    raw = np.empty((len(seqs), {"haar": 2 * total, "w_class": 8, "schmidt": 6}[family]))
-    for row, seq in zip(raw, seqs):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        if family == "schmidt":
-            rng.standard_normal(out=row[:5])
-            row[5] = rng.uniform(0.0, 2.0 * math.pi)
-        else:
-            rng.standard_normal(out=row)
-    if family == "haar":
-        return _states.unit_rows(raw[:, :total] + 1j * raw[:, total:])
-    amps = np.zeros((len(raw), 8), dtype=complex)
-    if family == "w_class":
-        amps[:, [0, 4, 2, 1]] = _states.unit_rows(raw[:, :4] + 1j * raw[:, 4:])
-    else:
-        lam = _states.unit_rows(np.abs(raw[:, :5]))
-        amps[:, [0, 5, 6, 7]] = lam[:, [0, 2, 3, 4]]
-        amps[:, 4] = lam[:, 1] * np.exp(1j * raw[:, 5])
-    return _states.unit_rows(amps)
-
-
 def _sample_state(dims, family, seq):
     """The state of one sweep sample from its SeedSequence((seed, index)).
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    return _states.PureTripartiteState(tuple(dims), _family_amps(dims, family, [seq])[0])
+    return _states.PureTripartiteState(tuple(dims), _states.family_rows(dims, family, [seq])[0])
 
 
 def _sweep_chunk(args):
     dims, mid_value, family, y, eps, master_seed, start, stop = args
     mid = MeasureId(mid_value)
-    amps = _family_amps(
+    amps = _states.family_rows(
         dims, family, [np.random.SeedSequence((master_seed, i)) for i in range(start, stop)]
     )
-    triples = _measures.measure_triples(dims, amps, mid)
+    triples = _measures._measure_triples(dims, amps, mid)
     hi = np.maximum(triples[:, 1], triples[:, 2])
     lo = np.minimum(triples[:, 1], triples[:, 2])
     kind, x, violation = _classify(triples[:, 0], hi, lo, y, eps)
@@ -385,8 +347,12 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     _check_positive("exponent y", y)
     _check_eps(eps)
     dims = _states._check_dims(dims)
-    # fail fast on unsupported measure/dims before burning samples
-    _measures.measure_triple(_sample_state(dims, family, np.random.SeedSequence((seed, 0))), mid)
+    # fail fast on unsupported family/measure/dims before burning samples
+    try:
+        first = _sample_state(dims, family, np.random.SeedSequence((seed, 0)))
+    except _states.StateError as exc:
+        raise DomainError(str(exc)) from None
+    _measures.measure_triple(first, mid)
 
     bounds = list(range(0, n, _SWEEP_CHUNK)) + [n]
     chunks = [

@@ -151,19 +151,29 @@ def _exact_state(dims, amps) -> PureTripartiteState:
     return PureTripartiteState(tuple(dims), unit_rows(amps[None])[0])
 
 
+def _schmidt_rows(lam, phi) -> np.ndarray:
+    """Unit rows of ``from_schmidt`` states from (N, 5) coefficients and N phases."""
+    amps = np.zeros((len(lam), 8), dtype=complex)
+    amps[:, 0] = lam[:, 0]
+    amps[:, 4] = lam[:, 1] * np.exp(1j * phi)
+    amps[:, 5:] = lam[:, 2:]
+    return unit_rows(amps)
+
+
 def from_schmidt(p: SchmidtParams) -> PureTripartiteState:
     """Three-qubit state in generalized Schmidt form.
 
     Amplitudes: l0|000> + l1 e^{i phi}|100> + l2|101> + l3|110> + l4|111>.
     """
-    l0, l1, l2, l3, l4 = p.lambdas
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = l0
-    amps[4] = l1 * np.exp(1j * p.phi)
-    amps[5] = l2
-    amps[6] = l3
-    amps[7] = l4
-    return _exact_state((2, 2, 2), amps)
+    return PureTripartiteState((2, 2, 2), _schmidt_rows(np.array([p.lambdas]), np.array([p.phi]))[0])
+
+
+def _w_rows(b) -> np.ndarray:
+    """Unit rows b0|000> + b1|100> + b2|010> + b3|001> from (N, 4) coefficients."""
+    amps = np.zeros((len(b), 8), dtype=complex)
+    amps[:, 0:5:4] = b[:, :2]   # |000>, |100>
+    amps[:, 2:0:-1] = b[:, 2:]  # |010>, |001>
+    return unit_rows(amps)
 
 
 def w_class(b0, b1, b2, b3) -> PureTripartiteState:
@@ -172,9 +182,7 @@ def w_class(b0, b1, b2, b3) -> PureTripartiteState:
     s = float(np.sum(np.abs(b) ** 2))
     if abs(s - 1.0) > 1e-9:
         raise StateError(f"W-class coefficients have squared sum {s}, not 1")
-    amps = np.zeros(8, dtype=complex)
-    amps[0], amps[4], amps[2], amps[1] = b
-    return _exact_state((2, 2, 2), amps)
+    return PureTripartiteState((2, 2, 2), _w_rows(b[None])[0])
 
 
 def ghz() -> PureTripartiteState:
@@ -222,6 +230,40 @@ def antisymmetric_qutrit() -> PureTripartiteState:
     return _exact_state((3, 3, 3), amps)
 
 
+FAMILIES = ("haar", "w_class", "schmidt")
+
+
+def family_rows(dims, family, seqs) -> np.ndarray:
+    """Unit amplitude rows of random states of a family, one per seed sequence.
+
+    Each state draws from its own PCG64 stream: haar takes 2 dA dB dC
+    normals (real parts, then imaginary parts); w_class takes 8 normals,
+    the real then imaginary parts of b0..b3; schmidt takes 5 normals, whose
+    absolute values are l0..l4, then a uniform phase phi.  The coefficients
+    are normalized, then placed as in ``w_class`` and ``from_schmidt``.
+    All rows are normalized at once with the arithmetic of the one-state
+    constructors, which are the one-row calls of the same helpers.
+    """
+    if family not in FAMILIES:
+        raise StateError(f"unknown family {family!r}; known: {FAMILIES}")
+    if family != "haar" and tuple(dims) != (2, 2, 2):
+        raise StateError(f"{family} family is defined on dims (2,2,2)")
+    total = dims[0] * dims[1] * dims[2]
+    raw = np.empty((len(seqs), {"haar": 2 * total, "w_class": 8, "schmidt": 6}[family]))
+    for row, seq in zip(raw, seqs):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        if family == "schmidt":
+            rng.standard_normal(out=row[:5])
+            row[5] = rng.uniform(0.0, 2.0 * math.pi)
+        else:
+            rng.standard_normal(out=row)
+    if family == "haar":
+        return unit_rows(raw[:, :total] + 1j * raw[:, total:])
+    if family == "w_class":
+        return _w_rows(unit_rows(raw[:, :4] + 1j * raw[:, 4:]))
+    return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), raw[:, 5])
+
+
 def haar_random(dims, rng_seed) -> PureTripartiteState:
     """Haar-random pure state: normalized i.i.d. complex Gaussian vector.
 
@@ -229,12 +271,8 @@ def haar_random(dims, rng_seed) -> PureTripartiteState:
     numpy SeedSequence.
     """
     dims = _check_dims(dims)
-    total = dims[0] * dims[1] * dims[2]
     seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    rng = np.random.Generator(np.random.PCG64(seq))
-    raw = rng.standard_normal(2 * total)
-    amps = raw[:total] + 1j * raw[total:]
-    return _exact_state(dims, amps)
+    return PureTripartiteState(dims, family_rows(dims, "haar", [seq])[0])
 
 
 _AXIS = {"A": 0, "B": 1, "C": 2}

@@ -20,7 +20,6 @@ from entmono import (
     ghz,
     haar_random,
     measure_triple,
-    measure_triples,
     pure_state_new,
     reduced_density,
     w_class,
@@ -30,6 +29,7 @@ from entmono import (
 from entmono.measures import (
     LOG2_3,
     _YY,
+    _measure_triples,
     binary_entropy,
     spinflip_kernel,
     spinflip_sqrt_spectrum,
@@ -308,7 +308,7 @@ class TestSpinFlipKernel:
     def test_triples_match_mixed_state_formulas(self, batch):
         amps = np.array([s.amps for s in batch])
         for mid in (MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE, MeasureId.EOF):
-            batched = measure_triples((2, 2, 2), amps, mid)
+            batched = _measure_triples((2, 2, 2), amps, mid)
             for state, row in zip(batch, batched):
                 single = measure_triple(state, mid).as_tuple()
                 assert tuple(row.tolist()) == single  # N = 1 and the batch agree bit for bit
@@ -323,7 +323,3 @@ class TestSpinFlipKernel:
         # GHZ: the pairs are separable with equal spectra (1/2, 1/2)
         assert spectra[1] == pytest.approx(
             np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
-
-    def test_pure_cut_uses_kernel(self):
-        s = haar_random((2, 2, 2), 8)
-        assert concurrence_pure_cut(s) == measure_triple(s, MeasureId.CONCURRENCE).e_abc

@@ -33,7 +33,8 @@ from entmono import (
     w_class,
 )
 from entmono.measures import LOG2_3
-from entmono.monogamy import _KINDS, _classify, _family_amps, _sample_state, _worker_count
+from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
+from entmono.states import family_rows
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -378,11 +379,13 @@ class TestSweepGoldens:
     """Sweeps recorded with the per-sample implementation that preceded the
     batched kernel and chunk classifier.
 
-    c and ca values must match bit for bit.  eof values now come from the
-    spectral formula instead of eigenvalue and SVD routines, so their
-    largest x may move in the last digits.  The recording was made on
-    x86-64 Linux with numpy's bundled OpenBLAS; a BLAS that sums the
-    normalization dot products in another order moves the last bits too.
+    Counts and witnesses must match exactly.  The largest finite x of c
+    and ca sweeps must agree within 4 ulps: the recording was made on
+    x86-64 Linux with numpy's bundled OpenBLAS, and a BLAS or CPU that sums
+    the normalization dot products in another order moves the last bits
+    (on the recording host the values are bit-identical).  eof values now
+    come from the spectral formula instead of eigenvalue and SVD routines,
+    so their largest x may move by up to 1e-14 relative.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
@@ -395,7 +398,8 @@ class TestSweepGoldens:
         if case["measure"] == "eof":
             assert r["max_finite_x"] == pytest.approx(case["max_finite_x"], rel=1e-14, abs=0)
         else:
-            assert r["max_finite_x"] == case["max_finite_x"]
+            assert abs(r["max_finite_x"] - case["max_finite_x"]) <= 4 * np.spacing(
+                case["max_finite_x"])
 
 
 def _constructor_state(dims, family, seq):
@@ -418,7 +422,7 @@ class TestChunkSampling:
     ])
     def test_replay_matches_chunk(self, dims, family):
         seqs = [np.random.SeedSequence((31, i)) for i in range(500, 540)]
-        amps = _family_amps(dims, family, seqs)
+        amps = family_rows(dims, family, seqs)
         for row, seq in zip(amps, seqs):
             assert row.tobytes() == _sample_state(dims, family, seq).amps.tobytes()
             assert row.tobytes() == _constructor_state(dims, family, seq).amps.tobytes()
