@@ -11,13 +11,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures, monogamy, states
-from .measures import LOG2_3, MeasureId, MeasureTriple
-from .monogamy import XKind
+from .measures import MeasureId, MeasureTriple
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,16 +57,16 @@ def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     if name.startswith("wclass:"):
         b = np.array(_parse_reals(name[7:], 4, "wclass"), dtype=complex)
         nrm = np.linalg.norm(b)
-        if nrm == 0:
-            raise states.StateError("wclass coefficients are all zero")
+        if not 0 < nrm < math.inf:
+            raise states.StateError(f"wclass coefficients must be finite, not all zero: {name[7:]}")
         b = b / nrm
         return name, states.w_class(*b)
     if name.startswith("schmidt:"):
         vals = _parse_reals(name[8:], 6, "schmidt")
         lam = np.abs(np.array(vals[:5]))
         nrm = np.linalg.norm(lam)
-        if nrm == 0:
-            raise states.StateError("schmidt coefficients are all zero")
+        if not 0 < nrm < math.inf:
+            raise states.StateError(f"schmidt coefficients must be finite, not all zero: {name[8:]}")
         lam = lam / nrm
         return name, states.from_schmidt(
             states.SchmidtParams(tuple(lam), vals[5] % (2.0 * math.pi))
@@ -99,34 +97,6 @@ def _triple_for(descriptor, state, mid: MeasureId) -> MeasureTriple:
     return measures.measure_triple(state, mid)
 
 
-@dataclass
-class AnalysisRecord:
-    descriptor: str
-    measure: MeasureId
-    triple: MeasureTriple
-    x_solution: monogamy.XSolution
-    min_alpha: float
-    theorem3: dict
-    witness: bool
-    residual_at_alpha: float | None = None
-
-    def to_json_dict(self):
-        return {
-            "state": self.descriptor,
-            "measure": self.measure.value,
-            "triple": list(self.triple.as_tuple()),
-            "x": {
-                "kind": self.x_solution.kind.value,
-                "y": self.x_solution.y,
-                "value": None if not math.isfinite(self.x_solution.x) else self.x_solution.x,
-            },
-            "min_alpha": None if not math.isfinite(self.min_alpha) else self.min_alpha,
-            "per_state_exponent": self.theorem3,
-            "non_monogamy_witness": self.witness,
-            "residual_at_alpha": self.residual_at_alpha,
-        }
-
-
 def cmd_analyze(args) -> int:
     descriptor, state = _resolve_source(args)
     mid = MeasureId.from_string(args.measure)
@@ -137,17 +107,21 @@ def cmd_analyze(args) -> int:
         thm3 = {"alpha": monogamy.theorem3_alpha(t)}
     except monogamy.DomainError as exc:
         thm3 = {"error": str(exc)}
-    rec = AnalysisRecord(
-        descriptor=descriptor,
-        measure=mid,
-        triple=t,
-        x_solution=sol,
-        min_alpha=monogamy.min_alpha(t),
-        theorem3=thm3,
-        witness=witness,
-        residual_at_alpha=None if args.alpha is None else monogamy.residual(t, args.alpha),
-    )
-    print(json.dumps(rec.to_json_dict(), indent=2))
+    alpha = monogamy.min_alpha(t)
+    print(json.dumps({
+        "state": descriptor,
+        "measure": mid.value,
+        "triple": list(t.as_tuple()),
+        "x": {
+            "kind": sol.kind.value,
+            "y": sol.y,
+            "value": sol.x if math.isfinite(sol.x) else None,
+        },
+        "min_alpha": alpha if math.isfinite(alpha) else None,
+        "per_state_exponent": thm3,
+        "non_monogamy_witness": witness,
+        "residual_at_alpha": None if args.alpha is None else monogamy.residual(t, args.alpha),
+    }, indent=2))
     return EXIT_WITNESS if witness else EXIT_OK
 
 

@@ -52,6 +52,8 @@ class MeasureTriple:
     measure_id: MeasureId
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_tuple()):
+            raise MeasureError(f"measure values must be finite, got {self.as_tuple()}")
         if min(self.e_abc, self.e_ab, self.e_ac) < 0:
             raise MeasureError("measure values must be non-negative")
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import states as _states
 from . import measures as _measures
@@ -31,6 +31,8 @@ DEFAULT_EPS = 1e-9
 # are numerically meaningless.
 ALPHA_MAX = 64.0
 BISECT_MAXITER = 200
+# scipy.optimize.bisect's default relative tolerance, kept so roots match it
+_BISECT_RTOL = 4 * sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -72,10 +74,16 @@ class Certificate:
     residual_at_alpha: float | None = None
 
 
-def _split(t: MeasureTriple):
-    hi = max(t.e_ab, t.e_ac)
-    lo = min(t.e_ab, t.e_ac)
-    return t.e_abc, hi, lo
+def _split(t: MeasureTriple, eps: float | None = None):
+    """(cut, max pair, min pair) of a triple.
+
+    Given eps, this is the monotonicity guard: a cut value below the larger
+    pair value by more than eps raises MonotonicityError.
+    """
+    cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
+    if eps is not None and cut < hi - eps:
+        raise MonotonicityError(f"cut value {cut} below larger pair value {hi} beyond eps={eps}")
+    return cut, hi, lo
 
 
 def _check_positive(name, v):
@@ -130,12 +138,8 @@ def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
     """
     _check_positive("exponent y", y)
     _check_eps(eps)
-    cut, hi, lo = _split(t)
-    kind, x, violation = _classify(np.array([cut]), np.array([hi]), np.array([lo]), y, eps)
-    if violation[0]:
-        raise MonotonicityError(
-            f"cut value {cut} below larger pair value {hi} beyond eps={eps}"
-        )
+    cut, hi, lo = _split(t, eps)
+    kind, x, _ = _classify(np.array([cut]), np.array([hi]), np.array([lo]), y, eps)
     return XSolution(_KINDS[kind[0]], y, float(x[0]))
 
 
@@ -147,8 +151,8 @@ def residual(t: MeasureTriple, alpha: float) -> float:
 
 def alpha_from_bound(m_bound: float, y0: float) -> float:
     """Monogamy exponent max(M * y0, y0) implied by an x-bound M at y0."""
-    if m_bound < 0 or y0 <= 0:
-        raise DomainError(f"need M >= 0 and y0 > 0, got M={m_bound}, y0={y0}")
+    if not (m_bound >= 0 and 0 < y0 < math.inf):
+        raise DomainError(f"need M >= 0 and finite y0 > 0, got M={m_bound}, y0={y0}")
     return max(m_bound * y0, y0)
 
 
@@ -171,8 +175,8 @@ def theorem3_alpha(t: MeasureTriple) -> float:
 
 def theorem3_alpha_relaxed(c: float) -> float:
     """Exponent log_c 2 valid for every triple whose base ratio is >= c > 1."""
-    if c <= 1.0:
-        raise DomainError(f"relaxed base must exceed 1, got {c}")
+    if not 1.0 < c < math.inf:
+        raise DomainError(f"relaxed base must be finite and exceed 1, got {c}")
     return math.log(2.0) / math.log(c)
 
 
@@ -182,11 +186,7 @@ def is_theorem2_witness(t: MeasureTriple, eps: float = DEFAULT_EPS) -> bool:
     Such a state rules out monogamy at every exponent.
     """
     _check_eps(eps)
-    cut, hi, lo = _split(t)
-    if cut < hi - eps:
-        raise MonotonicityError(
-            f"cut value {cut} below larger pair value {hi} beyond eps={eps}"
-        )
+    cut, hi, lo = _split(t, eps)
     return abs(cut - hi) < eps and lo >= eps
 
 
@@ -196,23 +196,35 @@ def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> 
     Returns 0.0 when the smaller pair value vanishes (monogamous at every
     exponent), math.inf when no finite exponent works (witness case or
     bracket failure), else the root of the residual found by bisection on
-    [tol, 64].
+    [tol, 64] to within tol: the iteration of scipy.optimize.bisect, whose
+    roots it returns bit for bit.
     """
     _check_positive("tol", tol)
     _check_eps(eps)
-    cut, hi, lo = _split(t)
-    if cut < hi - eps:
-        raise MonotonicityError(f"cut value {cut} below larger pair value {hi}")
+    cut, hi, lo = _split(t, eps)
     if lo < eps:
         return 0.0
     if abs(cut - hi) < eps:
         return math.inf
-    f = lambda a: residual(t, a)
-    if f(tol) >= 0.0:
+    fa = residual(t, tol)
+    if fa >= 0.0:
         return tol
-    if f(ALPHA_MAX) < 0.0:
+    fb = residual(t, ALPHA_MAX)
+    if fb < 0.0:
         return math.inf
-    return float(bisect(f, tol, ALPHA_MAX, xtol=tol, maxiter=BISECT_MAXITER))
+    if fb == 0.0:
+        return ALPHA_MAX
+    # fa stays the residual at tol, as in scipy's loop
+    xa, dm = tol, ALPHA_MAX - tol
+    for _ in range(BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = residual(t, xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < tol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {xa}")
 
 
 def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
@@ -225,12 +237,8 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
     y = np.asarray(y_grid, dtype=float)
     for v in y.tolist():
         _check_positive("exponent y", v)
-    cut, hi, lo = (np.full(len(y), v) for v in _split(t))
-    kind, x, violation = _classify(cut, hi, lo, y, DEFAULT_EPS)
-    if violation.any():
-        raise MonotonicityError(
-            f"cut value {cut[0]} below larger pair value {hi[0]} beyond eps={DEFAULT_EPS}"
-        )
+    cut, hi, lo = (np.full(len(y), v) for v in _split(t, DEFAULT_EPS))
+    kind, x, _ = _classify(cut, hi, lo, y, DEFAULT_EPS)
     for k, v in zip(kind.tolist(), y.tolist()):
         if k != 1:
             raise DomainError(f"x is {_KINDS[k].value} at y={v}; curve undefined")

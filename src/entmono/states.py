@@ -94,6 +94,10 @@ class SchmidtParams:
     def __post_init__(self):
         if len(self.lambdas) != 5:
             raise StateError("need exactly five Schmidt coefficients")
+        if not all(math.isfinite(l) for l in self.lambdas):
+            raise StateError("Schmidt coefficients must be finite")
+        if not math.isfinite(self.phi):
+            raise StateError("Schmidt phase phi must be finite")
         if any(l < 0 for l in self.lambdas):
             raise StateError("Schmidt coefficients must be non-negative")
         s = sum(l * l for l in self.lambdas)
@@ -117,14 +121,17 @@ def _check_dims(dims):
 def pure_state_new(dims, amplitudes) -> PureTripartiteState:
     """Build a state from raw amplitudes, renormalizing small deviations.
 
-    Rejects vectors whose norm is outside [1 - 1e-6, 1 + 1e-6] (all-zero
-    included); flags the state when the rescaling exceeded 1e-9.
+    Rejects non-finite amplitudes and vectors whose norm is outside
+    [1 - 1e-6, 1 + 1e-6] (all-zero included); flags the state when the
+    rescaling exceeded 1e-9.
     """
     dims = _check_dims(dims)
     amps = np.asarray(amplitudes, dtype=complex).ravel().copy()
     total = dims[0] * dims[1] * dims[2]
     if amps.size != total:
         raise StateError(f"amplitude vector has length {amps.size}, dims need {total}")
+    if not np.isfinite(amps).all():
+        raise StateError("amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise StateError("all-zero amplitude vector")
@@ -179,6 +186,8 @@ def _w_rows(b) -> np.ndarray:
 def w_class(b0, b1, b2, b3) -> PureTripartiteState:
     """W-class state b0|000> + b1|100> + b2|010> + b3|001>."""
     b = np.asarray([b0, b1, b2, b3], dtype=complex)
+    if not np.isfinite(b).all():
+        raise StateError("W-class coefficients must be finite")
     s = float(np.sum(np.abs(b) ** 2))
     if abs(s - 1.0) > 1e-9:
         raise StateError(f"W-class coefficients have squared sum {s}, not 1")

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,9 +186,18 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("extra", [
         ["--y", "nan"], ["--y", "inf"], ["--eps", "-1"], ["--alpha", "nan"], ["--alpha", "0"],
+        ["--example", "wclass:nan,1,1,1"], ["--example", "schmidt:1,1,1,1,1,inf"],
     ])
     def test_analyze(self, capsys, extra):
         code, out, err = run_cli(["analyze", "--example", "w", "--measure", "c"] + extra, capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_nan_state_file(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"dims": [2,2,2], "amps": [[NaN, 0]' + ', [0.5, 0]' * 4 + ', [0, 0]' * 3 + ']}')
+        code, out, err = run_cli(["analyze", "--state", str(p), "--measure", "c"], capsys)
         assert code == 1
         assert err.startswith("error:")
         assert out == ""
@@ -286,3 +298,12 @@ class TestUsage:
     def test_bad_measure(self, capsys):
         code, _, err = run_cli(["analyze", "--example", "ghz", "--measure", "xx"], capsys)
         assert code == 1
+
+
+def test_import_leaves_scipy_out():
+    """Importing the package loads numpy only; scipy waits for the ca search."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, entmono; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

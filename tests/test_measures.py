@@ -9,6 +9,7 @@ from entmono import (
     DensityMatrix,
     MeasureError,
     MeasureId,
+    MeasureTriple,
     SchmidtParams,
     assistance_pure_cut,
     concurrence_of_assistance,
@@ -184,6 +185,11 @@ class TestMeasureTriple:
     def test_lookup_needs_name(self):
         with pytest.raises(MeasureError, match="named state"):
             measure_triple(ghz(), MeasureId.ENTANGLEMENT_COST_LOOKUP)
+
+    @pytest.mark.parametrize("values", [(math.nan, 0.5, 0.5), (1.0, math.inf, 0.5), (1.0, 0.5, -math.inf)])
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(MeasureError, match="finite"):
+            MeasureTriple(*values, MeasureId.CONCURRENCE)
 
     def test_monotone_on_pure_cut(self):
         for seed in range(300):

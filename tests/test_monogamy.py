@@ -32,6 +32,7 @@ from entmono import (
     theorem3_alpha_relaxed,
     w_class,
 )
+from entmono import monogamy
 from entmono.measures import LOG2_3
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
 from entmono.states import family_rows
@@ -136,6 +137,11 @@ class TestAlphaFromBound:
         with pytest.raises(DomainError):
             alpha_from_bound(1.0, 0.0)
 
+    @pytest.mark.parametrize("m, y0", [(math.nan, 2.0), (1.0, math.nan), (0.0, math.inf)])
+    def test_non_finite(self, m, y0):
+        with pytest.raises(DomainError):
+            alpha_from_bound(m, y0)
+
 
 class TestTheorem3:
     def test_ec_exponent(self):
@@ -179,6 +185,11 @@ class TestTheorem3Relaxed:
         with pytest.raises(DomainError):
             theorem3_alpha_relaxed(0.3)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite(self, c):
+        with pytest.raises(DomainError, match="finite"):
+            theorem3_alpha_relaxed(c)
+
 
 class TestMinAlpha:
     def test_ec_triple(self):
@@ -198,6 +209,38 @@ class TestMinAlpha:
             r = s * rng.uniform(1.2, 8.0)
             expect = math.log(2) / math.log(r / s)
             assert min_alpha(triple(r, s, s)) == pytest.approx(expect, abs=1e-5)
+
+    @given(
+        st.floats(0.01, 1.6),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 0.5),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_bisect(self, cut, f1, f2, tol):
+        from scipy.optimize import bisect
+
+        t = triple(cut, cut * f1, cut * f1 * f2)
+        got = min_alpha(t, tol)
+        f = lambda a: residual(t, a)
+        if min(t.e_ab, t.e_ac) < 1e-9 or abs(cut - max(t.e_ab, t.e_ac)) < 1e-9:
+            assert got in (0.0, math.inf)
+        elif f(tol) >= 0.0:
+            assert got == tol
+        elif f(monogamy.ALPHA_MAX) < 0.0:
+            assert got == math.inf
+        else:
+            ref = bisect(f, tol, monogamy.ALPHA_MAX, xtol=tol, maxiter=monogamy.BISECT_MAXITER)
+            assert got.hex() == float(ref).hex()
+
+    def test_exact_zero_at_bracket_end(self, monkeypatch):
+        monkeypatch.setattr(monogamy, "residual", lambda t, a: 0.0 if a == monogamy.ALPHA_MAX else -1.0)
+        assert min_alpha(triple(1.2, 1, 0.5)) == monogamy.ALPHA_MAX
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(monogamy, "BISECT_MAXITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            min_alpha(triple(1.2, 1, 0.5))
 
     def test_residual_nonnegative_beyond_threshold(self):
         rng = np.random.default_rng(6)
@@ -227,6 +270,17 @@ class TestWitness:
 
     def test_strict_gap_is_not_witness(self):
         assert not is_theorem2_witness(triple(1.2, 1, 0.5))
+
+
+@pytest.mark.parametrize("decide", [
+    lambda t: solve_x(t, 2.0),
+    is_theorem2_witness,
+    min_alpha,
+    lambda t: beta_curves(t, [1.0, 2.0]),
+], ids=["solve_x", "is_theorem2_witness", "min_alpha", "beta_curves"])
+def test_monotonicity_violation_raises(decide):
+    with pytest.raises(MonotonicityError, match="below larger pair value"):
+        decide(triple(0.5, 0.9, 0.1))
 
 
 class TestBetaCurves:

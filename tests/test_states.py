@@ -68,6 +68,14 @@ class TestPureStateNew:
         assert s.renorm_warning
         assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        v = np.zeros(8, dtype=complex)
+        v[0] = 1.0
+        v[3] = bad
+        with pytest.raises(StateError, match="finite"):
+            pure_state_new((2, 2, 2), v)
+
     def test_dims_guard(self):
         with pytest.raises(StateError):
             pure_state_new((17, 16, 16), np.ones(17 * 16 * 16))
@@ -102,6 +110,15 @@ class TestSchmidt:
         with pytest.raises(StateError):
             SchmidtParams((-0.5, 0.5, 0.5, 0.5, 0.0))
 
+    def test_non_finite_lambda(self):
+        with pytest.raises(StateError, match="finite"):
+            SchmidtParams((math.nan, 0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phi(self, phi):
+        with pytest.raises(StateError, match="phi"):
+            SchmidtParams((0.5, 0.5, 0.5, 0.5, 0.0), phi)
+
 
 class TestWClass:
     def test_symmetric_w(self):
@@ -123,6 +140,10 @@ class TestWClass:
     def test_bad_norm(self):
         with pytest.raises(StateError):
             w_class(0.6, 0.6, 0.6, 0.6)
+
+    def test_non_finite(self):
+        with pytest.raises(StateError, match="finite"):
+            w_class(math.nan, 0.6, 0.6, 0.6)
 
 
 class TestNamedStates:
