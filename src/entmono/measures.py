@@ -91,9 +91,26 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def concurrence_pure_cut(state: PureTripartiteState) -> float:
-    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2))."""
+    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2)).
+
+    For qubit A this is 2 sqrt(det rho_A), evaluated by Cauchy-Binet as a
+    sum of squared 2x2 minors, which does not cancel on near-product cuts.
+    """
+    if state.dims[0] == 2:
+        return float(_cut_concurrence(state.amps.reshape(1, 2, -1))[0])
     rho_a = reduced_density(state, "A")
     return math.sqrt(max(0.0, 2.0 * (1.0 - purity(rho_a))))
+
+
+def _spinflip_values(psi) -> np.ndarray:
+    """Singular values of psi^T (Y x Y) psi for (N, 4, d) blocks with rows |ab>.
+
+    They are the nonzero sqrt-eigenvalues of rho * rho_tilde for the
+    two-qubit rho = psi psi^H (Takagi route).
+    """
+    r00, r01, r10, r11 = (psi[:, k, :, None] for k in range(4))
+    c00, c01, c10, c11 = (psi[:, k, None, :] for k in range(4))
+    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
 
 
 def spinflip_sqrt_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -112,9 +129,7 @@ def spinflip_sqrt_spectrum(rho: DensityMatrix) -> np.ndarray:
     # eigenvalues of rho*rho_tilde are the singular values of the complex
     # symmetric matrix A_kl = psi_k^T (Y x Y) psi_l (Takagi route), which
     # avoids squaring the spectrum and is exact on rank-deficient rho.
-    psi = v * np.sqrt(w)
-    a = psi.T @ _YY @ psi
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _spinflip_values((v * np.sqrt(w))[None])[0]
     out = np.zeros(4)
     out[: s.size] = s
     return out
@@ -218,51 +233,214 @@ def _three_qubit_triples(amps, mid: MeasureId) -> np.ndarray:
     return formation_of_concurrence(c) if mid is MeasureId.EOF else c
 
 
-# --- assisted concurrence for a qubit-qudit pair ---------------------------
+# --- qubit A beyond three qubits: the ca triple -----------------------------
+#
+# With d_A = 2 the A|BC cut is 2 sqrt(det M M^H), M the 2 x (dB dC) block of
+# A against BC.  Cauchy-Binet writes det M M^H as a sum of squared 2x2
+# minors, which does not cancel on near-product cuts.  A pair with a qubit
+# partner keeps the two-qubit closed form, the sum of _spinflip_values of
+# its 4 x d amplitude block.  A pair with a qubit assistant X is searched.
+# Measuring X along Bloch direction n leaves A with the subnormalized
+# marginal M(n) = Tr_X[rho_AX (1 x P(n))], P(n) = (1 + n.sigma) / 2, which is
+# affine in n.  So det M(n) is a quadratic Q(n) = c + n.A n + 2 b.n, and the
+# projective measurement {n, -n} gives the average concurrence
+# 2 sqrt(Q(n)) + 2 sqrt(Q(-n)).  Its maximum over the sphere is the
+# projective lower bound on C_a; concavity of sqrt(det) bounds C_a above by
+# the cut.  The quadratic form gives the search its derivatives, but its
+# value cancels where Q is small, so values are sums of squared minors of
+# the conditional amplitudes (Cauchy-Binet again).  Everything runs
+# elementwise or per matrix, so one state and a batch agree bit for bit.
 
 
-def _fibonacci_bloch(n):
-    """Roughly uniform directions on the Bloch sphere as qubit kets."""
-    i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    theta = np.arccos(z)
+def _cut_concurrence(m) -> np.ndarray:
+    """2 sqrt(sum_{j<l} |m0j m1l - m0l m1j|^2) of (N, 2, k) amplitude blocks."""
+    m0, m1 = m[:, 0], m[:, 1]
+    acc = np.zeros(len(m))
+    for j in range(m.shape[2] - 1):
+        minor = m0[:, j, None] * m1[:, j + 1:] - m0[:, j + 1:] * m1[:, j, None]
+        acc += (minor.real * minor.real + minor.imag * minor.imag).sum(axis=1)
+    return 2.0 * np.sqrt(acc)
+
+
+def _sum3(p):
+    """Sum over the component axis of vectors stored as (..., 3, N, S), in order."""
+    return p[..., 0, :, :] + p[..., 1, :, :] + p[..., 2, :, :]
+
+
+def _hemisphere(count):
+    """(3, count) Fibonacci directions on the upper half of the Bloch sphere."""
+    i = np.arange(count)
+    z = 1.0 - (i + 0.5) / count
+    r = np.sqrt(1.0 - z * z)
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    kets = np.empty((n, 2), dtype=complex)
-    kets[:, 0] = np.cos(theta / 2.0)
-    kets[:, 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
-    return kets
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _projective_avg_concurrence(psi_apx, kets):
-    """Average concurrence after measuring the assistant along each ket.
+def _ket_monomials(n):
+    """(b0^2, b0 b1, b1^2) of the conjugated outcome kets b for n and for -n.
 
-    psi_apx has axes (A=2, partner, assistant=2).  For a rank-1 outcome the
-    subnormalized conditional A-marginal M satisfies p*C = 2 sqrt(det M),
-    so the ensemble average for the projective pair {e, e_perp} is
-    2 sqrt(det M(e)) + 2 sqrt(det M(e_perp)).
+    n = (x, y, z) is a unit vector; the ket of n or -n, whichever points up,
+    is (sqrt((1 + z) / 2), (x + i y) / sqrt(2 (1 + z))), which is accurate.
     """
-    perp = np.empty_like(kets)
-    perp[:, 0] = -kets[:, 1].conj()
-    perp[:, 1] = kets[:, 0].conj()
-    out = np.empty(len(kets))
-    for arr, half in ((kets, 0), (perp, 1)):
-        w = np.einsum("apx,nx->nap", psi_apx, arr.conj())
-        m = np.einsum("nap,nbp->nab", w, w.conj())
-        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
-        contrib = 2.0 * np.sqrt(np.clip(det, 0.0, None))
-        if half == 0:
-            out[:] = contrib
-        else:
-            out += contrib
-    return out
+    x, y, z = n
+    up = z >= 0
+    x, y, z = np.where(up, x, -x), np.where(up, y, -y), np.abs(z)
+    b0 = np.sqrt(0.5 * (1.0 + z))
+    b1 = (x - 1j * y) / (2.0 * b0)
+    b1c = b1.conj()
+    return (b0 * b0, b0 * b1, b1 * b1), (b1c * b1c, -(b0 * b1c), b0 * b0)
+
+
+# The objective is even in n, so the grid covers the upper hemisphere only.
+_GRID = _hemisphere(64)  # as dense as a 128-point grid on the whole sphere
+_GRID_KETS = _ket_monomials(_GRID)
+_STARTS = 3          # best grid points refined per state
+_NEWTON_STEPS = 8    # at most; on Haar states a search converges in 4 to 6
+_RADIUS = 0.3        # first trust radius, about the grid spacing
+_GAIN_TOL = 1e-15    # a step that promises less ends a search: the value is final
+_GRID_BLOCK = 64     # states per grid evaluation, which bounds its temporaries
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the outcomes n and -n
+
+
+def _det_form(psi):
+    """(c, A, b) with det M(n) = c + n.A n + 2 b.n for psi (N, 2, dP, 2).
+
+    psi has axes A, partner, assistant; c, A and b have shapes (N,),
+    (3, 3, N) and (3, N).  This form gives the derivatives; it cancels where
+    det M is small, so values come from _minor_form.
+    """
+    def pauli(a, b):  # Tr(G sigma_mu) for G[x, y] = sum_p psi[a, p, x] conj(psi[b, p, y])
+        g = sum(psi[:, a, p, :, None] * psi[:, b, p, None, :].conj() for p in range(psi.shape[2]))
+        return np.stack([g[:, 0, 0] + g[:, 1, 1], g[:, 0, 1] + g[:, 1, 0],
+                         1j * (g[:, 0, 1] - g[:, 1, 0]), g[:, 0, 0] - g[:, 1, 1]], axis=1)
+
+    g00, g11, g01 = pauli(0, 0).real, pauli(1, 1).real, pauli(0, 1)
+    # M_ab(n) = g_ab . (1, n) / 2, so det M = M_00 M_11 - |M_01|^2 = (1, n) k (1, n)
+    k = 0.125 * (g00[:, :, None] * g11[:, None, :] + g11[:, :, None] * g00[:, None, :]) - 0.25 * (
+        g01.real[:, :, None] * g01.real[:, None, :] + g01.imag[:, :, None] * g01.imag[:, None, :])
+    return k[:, 0, 0], k[:, 1:, 1:].transpose(1, 2, 0), k[:, 0, 1:].T
+
+
+def _minor_form(psi):
+    """Coefficients (t0, t1, t2), each (P, N, 1), of the conditional minors.
+
+    The outcome with conjugated ket b leaves A and the partner with the
+    block W[a, p] = sum_x psi[a, p, x] b_x, whose 2x2 minors over partner
+    pairs j < l are t0 b0^2 + t1 b0 b1 + t2 b1^2.  By Cauchy-Binet det M is
+    the sum of their squared moduli, which does not cancel.
+    """
+    j, l = np.triu_indices(psi.shape[2], 1)
+
+    def minor(x, y):
+        return (psi[:, 0, j, x] * psi[:, 1, l, y] - psi[:, 0, l, x] * psi[:, 1, j, y]).T[..., None]
+
+    return minor(0, 0), minor(0, 1) + minor(1, 0), minor(1, 1)
+
+
+def _average_concurrence(t, kets):
+    """2 sqrt(det M(n)) + 2 sqrt(det M(-n)) from _minor_form and _ket_monomials."""
+    total = 0.0
+    for m0, m1, m2 in kets:
+        w = t[0] * m0 + t[1] * m1 + t[2] * m2
+        sq = w.real * w.real + w.imag * w.imag
+        total = total + np.sqrt(sum(sq, np.zeros(sq.shape[1:])))  # over the pairs, in order
+    return 2.0 * total
+
+
+def _ascent_step(n, c, quad, lin, radius):
+    """Riemannian Newton step for the objective at unit n, no longer than radius.
+
+    n has shape (3, N, S); quad, lin and c broadcast against it.  Returns
+    the step, its length, and its first-order gain g.s, which for a Newton
+    step is twice the gain the quadratic model predicts.
+    """
+    x, y, z = n
+    polar = np.abs(z) > 0.9  # tangent basis u, v = n x u
+    zero = np.zeros_like(z)
+    u = np.where(polar, np.stack([zero, -z, y]), np.stack([-y, x, zero]))
+    u = u / np.sqrt(_sum3(u * u))
+    v = n[[1, 2, 0]] * u[[2, 0, 1]] - n[[2, 0, 1]] * u[[1, 2, 0]]
+    frame = np.stack([n, u, v])
+    af = _sum3(quad * frame[:, None])            # A n, A u, A v
+    gram = _sum3(frame[:, None] * af[None])      # gram[i, j] = frame_i . A frame_j
+    ll = _sum3(lin * frame)                      # b . n, b . u, b . v
+    root = np.sqrt(c + gram[0, 0] + _SIGNS * 2.0 * ll[0])  # sqrt Q(n), sqrt Q(-n)
+    d = 2.0 * (gram[:, 0] + _SIGNS[:, None] * ll)          # their derivatives along n, u, v
+    g = d / root[:, None]
+    g = g[0] + g[1]                              # gradient of 2 sqrt Q(n) + 2 sqrt Q(-n)
+    dt = d[:, 1:]
+    h = 2.0 * gram[1:, 1:] / root[:, None, None] - dt[:, :, None] * dt[:, None] * (
+        0.5 / (root * root * root))[:, None, None]
+    h = h[0] + h[1]
+    g_u, g_v = g[1], g[2]
+    h_uu, h_uv, h_vv = h[0, 0] - g[0], h[0, 1], h[1, 1] - g[0]  # the sphere's curvature term
+    top = 0.5 * (h_uu + h_vv + np.sqrt((h_uu - h_vv) ** 2 + 4.0 * h_uv * h_uv))
+    det = h_uu * h_vv - h_uv * h_uv
+    s_u, s_v = (h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det
+    # a Newton step too long or not uphill becomes a shifted one, (H - sigma)^-1
+    # with sigma beyond the top eigenvalue by |g| / radius, which is uphill
+    # and no longer than radius
+    fits = (top < 0) & (s_u * s_u + s_v * s_v <= radius * radius)
+    sigma = np.maximum(top, 0.0) + np.sqrt(g_u * g_u + g_v * g_v) / radius
+    h_uu, h_vv = h_uu - sigma, h_vv - sigma
+    det = h_uu * h_vv - h_uv * h_uv
+    s_u = np.where(fits, s_u, (h_uv * g_v - h_vv * g_u) / det)
+    s_v = np.where(fits, s_v, (h_uv * g_u - h_uu * g_v) / det)
+    return s_u * u + s_v * v, np.sqrt(s_u * s_u + s_v * s_v), g_u * s_u + g_v * s_v
+
+
+def _assistant_search(psi) -> np.ndarray:
+    """Largest average concurrence of A over projective measurements of the assistant.
+
+    psi has shape (N, 2, dP, 2), axes A, partner, assistant.  The objective
+    is evaluated on the hemisphere grid; the best _STARTS points take up to
+    _NEWTON_STEPS safeguarded ascent steps, each kept only if it raises the
+    objective, so the result is never below the grid maximum.  A search
+    stops on its own criterion, so a state's value does not depend on the
+    rest of the batch.
+    """
+    if psi.shape[2] > 4:  # the vectors psi[:, a, :, x] span at most 4 partner dims
+        r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
+        psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
+    c, quad, lin = _det_form(psi)
+    t = _minor_form(psi)
+    grid = np.concatenate([_average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t], _GRID_KETS)
+                           for k in range(0, len(psi), _GRID_BLOCK)])
+    top = np.argsort(-grid, axis=1, kind="stable")[:, :_STARTS]
+    n, best = _GRID[:, top], np.take_along_axis(grid, top, axis=1)
+    c, quad, lin = c[:, None], quad[..., None], lin[..., None]
+    radius = np.full(best.shape, _RADIUS)
+    active = np.ones(best.shape, dtype=bool)
+    # outcomes with Q = 0 give infinite derivatives; such steps are rejected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            step, length, gain = _ascent_step(n, c, quad, lin, radius)
+            trial = n + step
+            trial = trial / np.sqrt(_sum3(trial * trial))
+            value = _average_concurrence(t, _ket_monomials(trial))
+            up = active & (value > best)
+            n = np.where(up, trial, n)
+            best = np.where(up, value, best)
+            radius = np.where(up, 2.0 * radius, 0.25 * length)
+            active &= gain > _GAIN_TOL
+            if not active.any():
+                break
+    return best.max(axis=1)
+
+
+def _pair_assistance(t, partner) -> np.ndarray:
+    """C_a of the pair A-partner for qubit-A states t of shape (N, 2, dB, dC)."""
+    psi = t if partner == "B" else t.swapaxes(2, 3)  # axes A, partner, the third party
+    if psi.shape[2] == 2:
+        return _spinflip_values(psi.reshape(len(psi), 4, -1)).sum(axis=1)
+    return _assistant_search(psi)
 
 
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
-    """C_a(rho_{A,partner}) via ensemble search over the qubit assistant.
+    """C_a(rho_{A,partner}) by search over projective measurements of the assistant.
 
-    Maximizes the average conditional concurrence over projective
-    measurements of the third party (Bloch-sphere grid plus local refine).
-    Requires d_A = 2 and a two-dimensional assistant.
+    Requires d_A = 2 and a two-dimensional assistant (the third party).  The
+    value is a lower bound on C_a, and it is at most the A|BC cut value.
     """
     partner = partner.upper()
     if partner not in ("B", "C"):
@@ -274,35 +452,39 @@ def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
     d_assist = dC if assistant == "C" else dB
     if d_assist != 2:
         raise MeasureError(f"assistant {assistant} must be a qubit, has dim {d_assist}")
-    t = state.tensor
-    # axes -> (A, partner, assistant)
-    psi = t if assistant == "C" else np.transpose(t, (0, 2, 1))
-
-    kets = _fibonacci_bloch(128)
-    vals = _projective_avg_concurrence(psi, kets)
-    best = int(np.argmax(vals))
-    z = kets[best]
-    theta0 = 2.0 * math.atan2(abs(z[1]), abs(z[0]))
-    phi0 = math.atan2(z[1].imag, z[1].real)
-
-    from scipy.optimize import minimize
-
-    def neg(x):
-        theta, phi = x
-        k = np.array([[math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))]])
-        return -_projective_avg_concurrence(psi, k)[0]
-
-    res = minimize(neg, [theta0, phi0], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400})
-    return max(float(vals[best]), -float(res.fun))
+    t = state.tensor[None]
+    return float(_assistant_search(t if partner == "B" else t.swapaxes(2, 3))[0])
 
 
 # --- triple assembly --------------------------------------------------------
 
+
+def _check_triple(dims, mid: MeasureId):
+    """Raise MeasureError unless a (dims, mid) triple is computable."""
+    if mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
+        raise MeasureError(
+            "entanglement cost is not computable from amplitudes; "
+            "use entanglement_cost_lookup with a named state"
+        )
+    if dims == (2, 2, 2):
+        return
+    if mid is not MeasureId.CONCURRENCE_OF_ASSISTANCE:
+        raise MeasureError(
+            f"{mid.value} triple needs dims (2,2,2), got {dims}: "
+            "the two-qubit spin-flip kernel applies to both reduced pairs"
+        )
+    if dims[0] != 2:
+        raise MeasureError("assistance triple needs d_A = 2 for the A|BC cut")
+    for partner, k in (("B", 1), ("C", 2)):
+        if dims[k] != 2 and dims[3 - k] != 2:
+            raise MeasureError(
+                f"pair A{partner} needs a qubit partner or a qubit assistant, got dims {dims}")
+
+
 def _assisted_pair(state, partner):
-    """C_a of the pair A-partner: closed form for two qubits, else the search."""
+    """C_a of the pair A-partner: closed form for a qubit partner, else the search."""
     if state.dims[1 if partner == "B" else 2] == 2:
-        return concurrence_of_assistance(reduced_density(state, "A" + partner))
+        return float(_pair_assistance(state.tensor[None], partner)[0])
     return assisted_concurrence(state, partner)
 
 
@@ -310,25 +492,15 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
     """Evaluate (E_{A|BC}, E_{AB}, E_{AC}) for the requested measure.
 
     Concurrence and EoF require a three-qubit state.  Concurrence of
-    assistance requires qubit A and at least one qubit among B, C; the
-    non-qubit pair (if any) is handled by the assisted-ensemble search.
-    Entanglement cost is lookup-only (see entanglement_cost_lookup).
-    Three-qubit triples come from the spin-flip kernel.
+    assistance requires qubit A, and each pair a qubit partner (closed
+    form) or a qubit assistant (projective search).  Entanglement cost is
+    lookup-only (see entanglement_cost_lookup).  Three-qubit triples come
+    from the spin-flip kernel; the others are one-state calls of the batch
+    path in _measure_triples.
     """
-    if mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
-        raise MeasureError(
-            "entanglement cost is not computable from amplitudes; "
-            "use entanglement_cost_lookup with a named state"
-        )
+    _check_triple(state.dims, mid)
     if state.dims == (2, 2, 2):
         return MeasureTriple(*_three_qubit_triples(state.amps, mid)[0].tolist(), mid)
-    if mid is not MeasureId.CONCURRENCE_OF_ASSISTANCE:
-        raise MeasureError(
-            f"{mid.value} triple needs dims (2,2,2), got {state.dims}: "
-            "the two-qubit spin-flip kernel applies to both reduced pairs"
-        )
-    if state.dims[0] != 2:
-        raise MeasureError("assistance triple needs d_A = 2 for the A|BC cut")
     return MeasureTriple(
         assistance_pure_cut(state), _assisted_pair(state, "B"), _assisted_pair(state, "C"), mid
     )
@@ -337,12 +509,13 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
 def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     """(N, 3) triples of N states given as unit-norm amplitude rows.
 
-    Three-qubit rows go through the spin-flip kernel in one call; other
-    dims evaluate measure_triple state by state.
+    Three-qubit rows go through the spin-flip kernel; qubit-A ca rows
+    through the Cauchy-Binet cut and one pair call per partner.
     """
     dims = tuple(dims)
-    if dims != (2, 2, 2) or mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
-        return np.array(
-            [measure_triple(PureTripartiteState(dims, a), mid).as_tuple() for a in amps]
-        ).reshape(-1, 3)
-    return _three_qubit_triples(amps, mid)
+    _check_triple(dims, mid)
+    if dims == (2, 2, 2):
+        return _three_qubit_triples(amps, mid)
+    t = np.asarray(amps).reshape((-1,) + dims)
+    return np.stack([_cut_concurrence(t.reshape(len(t), 2, -1)),
+                     _pair_assistance(t, "B"), _pair_assistance(t, "C")], axis=1)

@@ -144,9 +144,18 @@ def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
 
 
 def residual(t: MeasureTriple, alpha: float) -> float:
-    """E^a(A|BC) - E^a(AB) - E^a(AC); non-negative iff monogamous at alpha."""
+    """E^a(A|BC) - E^a(AB) - E^a(AC); non-negative iff monogamous at alpha.
+
+    Raises DomainError when a power or the difference leaves the float range.
+    """
     _check_positive("alpha", alpha)
-    return t.e_abc ** alpha - t.e_ab ** alpha - t.e_ac ** alpha
+    try:
+        r = t.e_abc ** alpha - t.e_ab ** alpha - t.e_ac ** alpha
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
+        raise DomainError(f"residual at alpha={alpha} overflows for triple {t.as_tuple()}")
+    return r
 
 
 def alpha_from_bound(m_bound: float, y0: float) -> float:

@@ -202,6 +202,18 @@ class TestRejectedInputs:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--example", "afs", "--measure", "ec-lookup", "--alpha", "2000"],
+        ["certify", "--example", "afs", "--measure", "ec-lookup", "--mode", "relaxed",
+         "--c", "1.0000000000001"],
+    ])
+    def test_residual_overflow(self, capsys, argv):
+        # log2(3)^alpha leaves the float range: an error, not a traceback or inf
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "overflows" in err
+        assert out == ""
+
     @pytest.mark.parametrize("cap", ["x", "0"])
     def test_thread_cap(self, tmp_path, capsys, monkeypatch, cap):
         monkeypatch.setenv("MONO_THREADS", cap)
@@ -300,10 +312,22 @@ class TestUsage:
         assert code == 1
 
 
-def test_import_leaves_scipy_out():
-    """Importing the package loads numpy only; scipy waits for the ca search."""
+def test_import_leaves_scipy_out(tmp_path):
+    """Importing the package loads numpy only, and ca triples run with scipy blocked."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = "import sys, entmono; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    assert run("import sys, entmono; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+    codes = run(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from entmono.cli import main\n"
+        "e223 = main(['analyze', '--example', 'e223', '--measure', 'ca'])\n"
+        f"sweep = main(['sweep', '--dims', '2,2,3', '--measure', 'ca', '--samples', '64', '--out', {str(tmp_path)!r}])\n"
+        "print('codes', e223, sweep)\n"
+    )
+    assert codes.splitlines()[-1] == "codes 2 0"
+    assert json.loads((tmp_path / "sweep_report.json").read_text())["samples"] == 64

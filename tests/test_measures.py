@@ -31,6 +31,7 @@ from entmono.measures import (
     LOG2_3,
     _YY,
     _measure_triples,
+    assisted_concurrence,
     binary_entropy,
     spinflip_kernel,
     spinflip_sqrt_spectrum,
@@ -59,6 +60,29 @@ class TestPureCut:
         v = np.zeros(8)
         v[0] = 1.0
         assert concurrence_pure_cut(pure_state_new((2, 2, 2), v)) == 0.0
+
+
+def _local_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestPureCutPrecision:
+    """For qubit A the cut is 2 s1 s2 from the Schmidt coefficients of A|BC."""
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-9.0, math.log10(S2)))
+    @settings(max_examples=300, deadline=None)
+    def test_schmidt_223(self, seed, log_s2):
+        rng = np.random.default_rng(seed)
+        s2 = 10.0 ** log_s2  # down to near-product cuts, C about 2e-9
+        s1 = math.sqrt(1.0 - s2 * s2)
+        u, v = _local_unitary(rng, 2), _local_unitary(rng, 6)[:, :2]
+        m = s1 * np.outer(u[:, 0], v[:, 0]) + s2 * np.outer(u[:, 1], v[:, 1])
+        state = pure_state_new((2, 2, 3), m.ravel())
+        cut = 2.0 * s1 * s2
+        assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
+        t = measure_triple(state, MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert abs(t.e_abc - cut) <= 1e-15
 
 
 class TestWootters:
@@ -329,3 +353,97 @@ class TestSpinFlipKernel:
         # GHZ: the pairs are separable with equal spectra (1/2, 1/2)
         assert spectra[1] == pytest.approx(
             np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
+
+
+# --- the batched projective search against Nelder-Mead ----------------------
+
+
+def _fibonacci_bloch(n):
+    """Roughly uniform directions on the Bloch sphere as qubit kets."""
+    i = np.arange(n)
+    theta = np.arccos(1.0 - 2.0 * (i + 0.5) / n)
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    return np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
+
+
+def _projective_avg_concurrence(psi_apx, kets):
+    """2 sqrt(det M(e)) + 2 sqrt(det M(e_perp)) for each assistant ket e."""
+    perp = np.stack([-kets[:, 1].conj(), kets[:, 0].conj()], axis=1)
+    out = np.zeros(len(kets))
+    for arr in (kets, perp):
+        w = np.einsum("apx,nx->nap", psi_apx, arr.conj())
+        m = np.einsum("nap,nbp->nab", w, w.conj())
+        det = np.real(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        out += 2.0 * np.sqrt(np.clip(det, 0.0, None))
+    return out
+
+
+def nelder_mead_assistance(state, partner):
+    """The projective search this package used to run: the best of a
+    128-point sphere grid, refined by scipy's Nelder-Mead (test reference)."""
+    from scipy.optimize import minimize
+
+    t = state.tensor
+    psi = t if partner == "B" else np.transpose(t, (0, 2, 1))  # axes A, partner, assistant
+    kets = _fibonacci_bloch(128)
+    vals = _projective_avg_concurrence(psi, kets)
+    z = kets[int(np.argmax(vals))]
+
+    def neg(x):
+        theta, phi = x
+        k = np.array([[math.cos(theta / 2.0), math.sin(theta / 2.0) * cmath.exp(1j * phi)]])
+        return -_projective_avg_concurrence(psi, k)[0]
+
+    x0 = [2.0 * math.atan2(abs(z[1]), abs(z[0])), math.atan2(z[1].imag, z[1].real)]
+    res = minimize(neg, x0, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400})
+    return max(float(vals.max()), -float(res.fun))
+
+
+class TestAssistedSearch:
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 2, 4)])
+    def test_not_below_nelder_mead(self, dims):
+        states = [haar_random(dims, 40_000 + k) for k in range(200)]
+        batch = _measure_triples(dims, np.array([s.amps for s in states]),
+                                 MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        for state, (cut, _, searched) in zip(states, batch):
+            assert searched >= nelder_mead_assistance(state, "C") - 1e-12
+            assert searched <= cut + 1e-14  # sqrt(det) is concave: C_a <= C(A|BC)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
+    def test_one_state_equals_batch(self, dims):
+        mid = MeasureId.CONCURRENCE_OF_ASSISTANCE
+        states = [haar_random(dims, 70_000 + k) for k in range(40)]
+        batch = _measure_triples(dims, np.array([s.amps for s in states]), mid)
+        searched = "C" if dims[1] == 2 else "B"
+        for state, row in zip(states, batch):
+            assert measure_triple(state, mid).as_tuple() == tuple(row.tolist())
+            assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
+
+    def test_partner_beyond_four_dims(self):
+        # a qutrit partner embedded in 6 dims by a random isometry: the search
+        # first rotates the partner onto the at most 4 dims the state uses
+        rng = np.random.default_rng(11)
+        for k in range(20):
+            state = haar_random((2, 2, 3), 80_000 + k)
+            embed = _local_unitary(rng, 6)[:, :3]
+            wide = pure_state_new((2, 2, 6), np.einsum("abc,dc->abd", state.tensor, embed).ravel())
+            assert assisted_concurrence(wide, "C") == pytest.approx(
+                assisted_concurrence(state, "C"), rel=0, abs=1e-14)
+
+    def test_e223(self):
+        t = measure_triple(example_223(), MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert np.allclose(t.as_tuple(), (1.0, 1.0, 2 * math.sqrt(2) / 3), rtol=0, atol=1e-15)
+
+    def test_unentangled_assistant(self):
+        # A|C carries a Bell pair, B is in a product state: any measurement of
+        # B leaves the Bell pair, so the search returns 1
+        amps = np.zeros(12, dtype=complex)
+        amps[0 * 6 + 0 * 3 + 0] = amps[1 * 6 + 0 * 3 + 1] = S2
+        assert assisted_concurrence(pure_state_new((2, 2, 3), amps), "C") == pytest.approx(1.0, abs=1e-15)
+
+    def test_needs_qubit_assistant(self):
+        with pytest.raises(MeasureError, match="qubit partner or a qubit assistant"):
+            measure_triple(haar_random((2, 3, 3), 0), MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        with pytest.raises(MeasureError, match="assistant C must be a qubit"):
+            assisted_concurrence(haar_random((2, 2, 3), 0), "B")

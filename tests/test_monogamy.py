@@ -439,7 +439,12 @@ class TestSweepGoldens:
     the normalization dot products in another order moves the last bits
     (on the recording host the values are bit-identical).  eof values now
     come from the spectral formula instead of eigenvalue and SVD routines,
-    so their largest x may move by up to 1e-14 relative.
+    so their largest x may move by up to 1e-14 relative.  The (2,2,3) ca
+    values now come from the Cauchy-Binet cut, the closed-form qubit pair
+    and the batched projective search instead of the purity formula, eigh
+    and Nelder-Mead: its largest x moved by 5.1e-13 relative (the new cut
+    and AB values of that sample lie closer to their exact values), and it
+    may move by up to 1e-11.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
@@ -451,6 +456,8 @@ class TestSweepGoldens:
             assert r[key] == case[key], key
         if case["measure"] == "eof":
             assert r["max_finite_x"] == pytest.approx(case["max_finite_x"], rel=1e-14, abs=0)
+        elif case["dims"] != [2, 2, 2]:
+            assert r["max_finite_x"] == pytest.approx(case["max_finite_x"], rel=1e-11, abs=0)
         else:
             assert abs(r["max_finite_x"] - case["max_finite_x"]) <= 4 * np.spacing(
                 case["max_finite_x"])
