@@ -310,20 +310,19 @@ class SweepReport:
         }
 
 
-def _sample_state(dims, family, seq):
-    """The state of one sweep sample from its SeedSequence((seed, index)).
+def _sample_state(dims, family, seed, index):
+    """The state of sweep sample ``index`` at ``seed``, drawn as its chunk draws it.
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    return _states.PureTripartiteState(tuple(dims), _states.family_rows(dims, family, [seq])[0])
+    rows = _states.family_rows(dims, family, _states.index_streams(seed, index, index + 1))
+    return _states.PureTripartiteState(tuple(dims), rows[0])
 
 
 def _sweep_chunk(args):
     dims, mid_value, family, y, eps, master_seed, start, stop = args
     mid = MeasureId(mid_value)
-    amps = _states.family_rows(
-        dims, family, [np.random.SeedSequence((master_seed, i)) for i in range(start, stop)]
-    )
+    amps = _states.family_rows(dims, family, _states.index_streams(master_seed, start, stop))
     triples = _measures._measure_triples(dims, amps, mid)
     hi = np.maximum(triples[:, 1], triples[:, 2])
     lo = np.minimum(triples[:, 1], triples[:, 2])
@@ -363,13 +362,15 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
         raise DomainError(f"need at least one sample, got {n}")
     _check_positive("exponent y", y)
     _check_eps(eps)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     dims = _states._check_dims(dims)
     # fail fast on unsupported family/measure/dims before burning samples
     try:
-        first = _sample_state(dims, family, np.random.SeedSequence((seed, 0)))
+        _states._check_family(dims, family)
     except _states.StateError as exc:
         raise DomainError(str(exc)) from None
-    _measures.measure_triple(first, mid)
+    _measures._check_triple(dims, mid)
 
     bounds = list(range(0, n, _SWEEP_CHUNK)) + [n]
     chunks = [

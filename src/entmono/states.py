@@ -242,35 +242,37 @@ def antisymmetric_qutrit() -> PureTripartiteState:
 FAMILIES = ("haar", "w_class", "schmidt")
 
 
-def family_rows(dims, family, seqs) -> np.ndarray:
-    """Unit amplitude rows of random states of a family, one per seed sequence.
-
-    Each state draws from its own PCG64 stream: haar takes 2 dA dB dC
-    normals (real parts, then imaginary parts); w_class takes 8 normals,
-    the real then imaginary parts of b0..b3; schmidt takes 5 normals, whose
-    absolute values are l0..l4, then a uniform phase phi.  The coefficients
-    are normalized, then placed as in ``w_class`` and ``from_schmidt``.
-    All rows are normalized at once with the arithmetic of the one-state
-    constructors, which are the one-row calls of the same helpers.
-    """
+def _check_family(dims, family):
+    """Raise StateError unless ``family_rows`` can draw the family on dims."""
     if family not in FAMILIES:
         raise StateError(f"unknown family {family!r}; known: {FAMILIES}")
     if family != "haar" and tuple(dims) != (2, 2, 2):
         raise StateError(f"{family} family is defined on dims (2,2,2)")
+
+
+def family_rows(dims, family, rngs) -> np.ndarray:
+    """Unit amplitude rows of random states of a family, one per Generator.
+
+    Each row draws from the next Generator of ``rngs`` before the one after
+    it is taken, so an iterable that re-seeds one Generator between rows
+    (``index_streams``) works: haar takes 2 dA dB dC normals (real parts,
+    then imaginary parts); w_class takes 8 normals, the real then imaginary
+    parts of b0..b3; schmidt takes 5 normals, whose absolute values are
+    l0..l4, then a uniform phase phi.  The coefficients are normalized, then
+    placed as in ``w_class`` and ``from_schmidt``.  All rows are normalized
+    at once with the arithmetic of the one-state constructors, which are the
+    one-row calls of the same helpers.
+    """
+    _check_family(dims, family)
     total = dims[0] * dims[1] * dims[2]
-    raw = np.empty((len(seqs), {"haar": 2 * total, "w_class": 8, "schmidt": 6}[family]))
-    for row, seq in zip(raw, seqs):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        if family == "schmidt":
-            rng.standard_normal(out=row[:5])
-            row[5] = rng.uniform(0.0, 2.0 * math.pi)
-        else:
-            rng.standard_normal(out=row)
+    if family == "schmidt":
+        raw = np.array([np.append(rng.standard_normal(5), rng.uniform(0.0, 2.0 * math.pi))
+                        for rng in rngs])
+        return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), raw[:, 5])
+    raw = np.array([rng.standard_normal(2 * total if family == "haar" else 8) for rng in rngs])
     if family == "haar":
         return unit_rows(raw[:, :total] + 1j * raw[:, total:])
-    if family == "w_class":
-        return _w_rows(unit_rows(raw[:, :4] + 1j * raw[:, 4:]))
-    return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), raw[:, 5])
+    return _w_rows(unit_rows(raw[:, :4] + 1j * raw[:, 4:]))
 
 
 def haar_random(dims, rng_seed) -> PureTripartiteState:
@@ -280,8 +282,109 @@ def haar_random(dims, rng_seed) -> PureTripartiteState:
     numpy SeedSequence.
     """
     dims = _check_dims(dims)
-    seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    return PureTripartiteState(dims, family_rows(dims, "haar", [seq])[0])
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    return PureTripartiteState(dims, family_rows(dims, "haar", [rng])[0])
+
+
+# --- per-index streams ------------------------------------------------------
+#
+# Sample i of a sweep at seed s draws from Generator(PCG64(SeedSequence((s, i)))).
+# The code below yields those streams for a block of indices bit for bit,
+# without one SeedSequence and PCG64 object per index: numpy's SeedSequence
+# hash (mix_entropy and generate_state in numpy/random/bit_generator.pyx)
+# runs on uint32 columns over the whole block, PCG64's seeding step
+# (pcg64_set_seed) on Python ints, and one Generator is re-seeded per index.
+
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE, _XSHIFT = 4, 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _n_words(v):
+    """Number of 32-bit words SeedSequence uses for the non-negative int v."""
+    return max(1, -(-v.bit_length() // 32))
+
+
+def _entropy_words(seed, start, n):
+    """Entropy words of (seed, i) for the n indices i from start on.
+
+    Returns an (n, W) uint32 array of the words of seed then of i, each
+    least significant first, zero-padded on the right to W >= the pool
+    size, and each row's word count.  n must be below 2**32.
+    """
+    n_seed, n_index = _n_words(seed), _n_words(start + n - 1)
+    words = np.zeros((n, max(_POOL_SIZE, n_seed + n_index)), np.uint32)
+    words[:, :n_seed] = [seed >> 32 * j & _MASK32 for j in range(n_seed)]
+    carry = np.arange(n, dtype=np.uint64)  # start + offset, word by word
+    for j in range(n_index):
+        v = carry + np.uint64(start >> 32 * j & _MASK32)
+        words[:, n_seed + j] = v & _MASK32
+        carry = v >> 32
+    count = np.full(n, n_seed + 1)
+    for j in range(1, n_index):  # indices from 2**(32 j) on take word j too
+        count[max(0, (1 << 32 * j) - start):] += 1
+    return words, count
+
+
+def _hash_consts(hash_const, mult):
+    """The (xor, multiply) constants of successive hashmix calls."""
+    while True:
+        prev, hash_const = hash_const, hash_const * mult & _MASK32
+        yield prev, hash_const
+
+
+def _hashmix(value, consts, k):
+    """numpy's hashmix with the next k constants of consts, one per column
+    of the uint32 array value broadcast to k columns."""
+    xor, mul = np.array([next(consts) for _ in range(k)], np.uint32).T
+    value = (value ^ xor) * mul
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of two uint32 arrays."""
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> _XSHIFT
+
+
+def _seed_state_words(seed, start, n):
+    """(n, 4) uint64 rows SeedSequence((seed, i)).generate_state(4, np.uint64)."""
+    words, count = _entropy_words(seed, start, n)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    # entropy shorter than the pool hashes as if padded with zero words
+    pool = _hashmix(words[:, :_POOL_SIZE], consts, _POOL_SIZE)
+    for src in range(_POOL_SIZE):  # each word mixes into the others, in numpy's order
+        dst = [k for k in range(_POOL_SIZE) if k != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], consts, len(dst)))
+    for src in range(_POOL_SIZE, words.shape[1]):  # entropy beyond the pool, row by row
+        mixed = _mix(pool, _hashmix(words[:, src:src + 1], consts, _POOL_SIZE))
+        pool = np.where(count[:, None] > src, mixed, pool)
+    # generate_state: 8 uint32 words from the pool in turn, paired low word first
+    out = _hashmix(np.tile(pool, 2), _hash_consts(_INIT_B, _MULT_B), 8).astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+
+
+def index_streams(seed, start, stop):
+    """Yield Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
+
+    The streams are numpy's bit for bit, but one Generator is yielded
+    throughout, its state set to index i's stream at step i: draw from it
+    before taking the next.  seed and indices are non-negative ints.
+    """
+    seed, start, stop = int(seed), int(start), int(stop)
+    rng = np.random.Generator(np.random.PCG64(0))
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in _seed_state_words(seed, start, stop - start).tolist():
+        # pcg64_set_seed: inc = initseq << 1 | 1, then two LCG steps from 0
+        pcg["inc"] = inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = state
+        yield rng
 
 
 _AXIS = {"A": 0, "B": 1, "C": 2}

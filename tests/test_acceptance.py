@@ -88,8 +88,7 @@ class TestGoldens:
                   HAAR_SEED, family="w_class")
         all_near_01 = True
         for i in range(N_HAAR):
-            s = _sample_state((2, 2, 2), "w_class",
-                              np.random.SeedSequence((HAAR_SEED, i)))
+            s = _sample_state((2, 2, 2), "w_class", HAAR_SEED, i)
             sol = solve_x(measure_triple(s, MeasureId.CONCURRENCE_OF_ASSISTANCE), 2.0)
             if sol.kind is XKind.FINITE:
                 if min(abs(sol.x), abs(sol.x - 1.0)) > 1e-9:

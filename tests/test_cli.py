@@ -169,12 +169,12 @@ class TestSweep:
 
 
 class TestRejectedInputs:
-    """Bad exponents, tolerances, dims and thread caps exit 1 with a message."""
+    """Bad exponents, tolerances, dims, seeds and thread caps exit 1 with a message."""
 
     @pytest.mark.parametrize("extra", [
         ["--y", "inf"], ["--y", "nan"], ["--y", "0"], ["--y", "-2"],
         ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
-        ["--dims", "a,b,c"], ["--dims", "2,2,x"],
+        ["--dims", "a,b,c"], ["--dims", "2,2,x"], ["--seed", "-1"],
     ])
     def test_sweep(self, tmp_path, capsys, extra):
         code, out, err = run_cli(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entmono import (
     DomainError,
@@ -33,9 +33,9 @@ from entmono import (
     w_class,
 )
 from entmono import monogamy
-from entmono.measures import LOG2_3
+from entmono.measures import LOG2_3, MeasureError
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
-from entmono.states import family_rows
+from entmono.states import family_rows, index_streams
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -342,7 +342,7 @@ class TestSweep:
         r = sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, 300, 21)
         assert r.certified_alpha is not None
         for i in range(300):
-            s = _sample_state((2, 2, 2), "haar", np.random.SeedSequence((21, i)))
+            s = _sample_state((2, 2, 2), "haar", 21, i)
             t = measure_triple(s, MeasureId.CONCURRENCE)
             assert residual(t, r.certified_alpha) >= -1e-9
 
@@ -363,6 +363,23 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 10, 1,
                   family="w_class")
+
+    def test_fail_fast_without_evaluating(self, monkeypatch):
+        # family, dims, measure and seed are checked before any sample is drawn,
+        # and each sample is evaluated once, by its chunk
+        def unexpected(*args):
+            raise AssertionError("measure_triple called by sweep")
+
+        monkeypatch.setattr(monogamy._measures, "measure_triple", unexpected)
+        assert sweep((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 20, 3).samples == 20
+        with pytest.raises(MeasureError, match="needs dims"):
+            sweep((2, 2, 3), MeasureId.CONCURRENCE, 2.0, 10, 1)
+        with pytest.raises(MeasureError, match="not computable"):
+            sweep((2, 2, 2), MeasureId.ENTANGLEMENT_COST_LOOKUP, 2.0, 10, 1)
+        with pytest.raises(DomainError, match="defined on dims"):
+            sweep((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 10, 1, family="schmidt")
+        with pytest.raises(DomainError, match="non-negative"):
+            sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, 10, -1)
 
 
 class TestCertificates:
@@ -482,11 +499,34 @@ class TestChunkSampling:
         ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
     ])
     def test_replay_matches_chunk(self, dims, family):
-        seqs = [np.random.SeedSequence((31, i)) for i in range(500, 540)]
-        amps = family_rows(dims, family, seqs)
-        for row, seq in zip(amps, seqs):
-            assert row.tobytes() == _sample_state(dims, family, seq).amps.tobytes()
+        amps = family_rows(dims, family, index_streams(31, 500, 540))
+        for row, i in zip(amps, range(500, 540)):
+            seq = np.random.SeedSequence((31, i))
+            assert row.tobytes() == _sample_state(dims, family, 31, i).amps.tobytes()
             assert row.tobytes() == _constructor_state(dims, family, seq).amps.tobytes()
+
+    @given(seed=st.integers(0, 2**130), start=st.integers(0, 2**70), n=st.integers(1, 24))
+    @example(seed=0, start=0, n=8)
+    @example(seed=2**32 - 1, start=0, n=3)
+    @example(seed=2**32, start=7, n=3)
+    @example(seed=2**64, start=0, n=3)
+    @example(seed=2**100, start=2**32 - 12, n=24)  # entropy longer than the pool
+    @example(seed=9, start=2**32 - 3, n=6)
+    @example(seed=9, start=2**64 - 3, n=6)
+    @settings(max_examples=60, deadline=None)
+    def test_streams_are_numpy_streams(self, seed, start, n):
+        # numpy's own SeedSequence is the reference for every (seed, index) stream
+        stop = start + n
+        for dims, family in (((2, 2, 2), "haar"), ((2, 2, 3), "haar"),
+                             ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt")):
+            ref = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+                   for i in range(start, stop)]
+            rows = family_rows(dims, family, index_streams(seed, start, stop))
+            assert rows.tobytes() == family_rows(dims, family, ref).tobytes()
+        for rng, i in zip(index_streams(seed, start, stop), range(start, stop)):
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random(3).tobytes() == ref.random(3).tobytes()
 
 
 class TestWorkerCount:
