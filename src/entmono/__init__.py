@@ -12,7 +12,6 @@ from .states import (
     haar_random,
     load_state,
     pure_state_new,
-    purity,
     reduced_density,
     save_state,
     w_class,
@@ -22,13 +21,9 @@ from .measures import (
     MeasureError,
     MeasureId,
     MeasureTriple,
-    assistance_pure_cut,
-    concurrence_of_assistance,
     concurrence_pure_cut,
     entanglement_cost_lookup,
-    eof_two_qubit,
     measure_triple,
-    wootters_concurrence,
 )
 from .monogamy import (
     Certificate,

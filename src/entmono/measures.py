@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureTripartiteState, reduced_density, purity
+from .states import PureTripartiteState
+from .states import reduced_density  # a module attribute here: bench/tracing.py spans it by name
 
 LOG2_3 = math.log2(3.0)
-
-# Spectral values below this are numerical noise from exactly-zero
-# eigenvalues of rank-deficient products; sqrt would inflate them to ~1e-8.
-_SPECTRUM_FLOOR = 1e-14
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -83,80 +80,13 @@ def formation_of_concurrence(c):
     return binary_entropy(c * c / (2.0 * (1.0 + r)))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) in base 2."""
-    w = np.linalg.eigvalsh(rho.mat)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w)))
-
-
 def concurrence_pure_cut(state: PureTripartiteState) -> float:
     """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2)).
 
-    For qubit A this is 2 sqrt(det rho_A), evaluated by Cauchy-Binet as a
-    sum of squared 2x2 minors, which does not cancel on near-product cuts.
+    Evaluated by Cauchy-Binet as a sum of squared 2x2 minors (see
+    _cut_concurrence), which does not cancel on near-product cuts.
     """
-    if state.dims[0] == 2:
-        return float(_cut_concurrence(state.amps.reshape(1, 2, -1))[0])
-    rho_a = reduced_density(state, "A")
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity(rho_a))))
-
-
-def _spinflip_values(psi) -> np.ndarray:
-    """Singular values of psi^T (Y x Y) psi for (N, 4, d) blocks with rows |ab>.
-
-    They are the nonzero sqrt-eigenvalues of rho * rho_tilde for the
-    two-qubit rho = psi psi^H (Takagi route).
-    """
-    r00, r01, r10, r11 = (psi[:, k, :, None] for k in range(4))
-    c00, c01, c10, c11 = (psi[:, k, None, :] for k in range(4))
-    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
-
-
-def spinflip_sqrt_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Descending sqrt-eigenvalues of rho * rho_tilde for a two-qubit rho.
-
-    rho_tilde = (Y x Y) rho* (Y x Y).  The product is similar to the PSD
-    matrix sqrt(rho) rho_tilde sqrt(rho), which is what gets diagonalized;
-    noise-level eigenvalues are clipped to zero before the square root.
-    """
-    if rho.dim != 4:
-        raise MeasureError(f"two-qubit kernel needs dim 4, got {rho.dim}")
-    w, v = np.linalg.eigh(rho.mat)
-    keep = w > _SPECTRUM_FLOOR
-    w, v = w[keep], v[:, keep]
-    # subnormalized eigendecomposition psi_k = sqrt(w_k) v_k; the sqrt
-    # eigenvalues of rho*rho_tilde are the singular values of the complex
-    # symmetric matrix A_kl = psi_k^T (Y x Y) psi_l (Takagi route), which
-    # avoids squaring the spectrum and is exact on rank-deficient rho.
-    s = _spinflip_values((v * np.sqrt(w))[None])[0]
-    out = np.zeros(4)
-    out[: s.size] = s
-    return out
-
-
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit mixed-state concurrence max(0, s1 - s2 - s3 - s4)."""
-    s = spinflip_sqrt_spectrum(rho)
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
-
-
-def concurrence_of_assistance(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence of assistance, s1 + s2 + s3 + s4."""
-    s = spinflip_sqrt_spectrum(rho)
-    return float(np.sum(s))
-
-
-def assistance_pure_cut(state: PureTripartiteState) -> float:
-    """C_a of the pure A|BC cut; equals the pure-cut concurrence for qubit A."""
-    if state.dims[0] != 2:
-        raise MeasureError("assistance across the A|BC cut is only defined for d_A = 2")
-    return concurrence_pure_cut(state)
-
-
-def eof_two_qubit(rho: DensityMatrix) -> float:
-    """Two-qubit entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
-    return formation_of_concurrence(wootters_concurrence(rho))
+    return float(_cut_concurrence(state.amps.reshape(1, state.dims[0], -1))[0])
 
 
 def entanglement_cost_lookup(name: str) -> MeasureTriple:
@@ -224,42 +154,51 @@ def spinflip_kernel(amps) -> np.ndarray:
     return out.astype(float)
 
 
-def _three_qubit_triples(amps, mid: MeasureId) -> np.ndarray:
-    """(N, 3) rows (E_A|BC, E_AB, E_AC) of three-qubit states from the kernel."""
-    spectra = spinflip_kernel(amps)
-    if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
-        return spectra[..., 0] + spectra[..., 1]
-    c = spectra[..., 0] - spectra[..., 1]  # s1 >= s2, so C >= 0
-    return formation_of_concurrence(c) if mid is MeasureId.EOF else c
-
-
-# --- qubit A beyond three qubits: the ca triple -----------------------------
+# --- the cut for any d_A, and qubit A beyond three qubits: the ca triple ----
 #
-# With d_A = 2 the A|BC cut is 2 sqrt(det M M^H), M the 2 x (dB dC) block of
-# A against BC.  Cauchy-Binet writes det M M^H as a sum of squared 2x2
-# minors, which does not cancel on near-product cuts.  A pair with a qubit
-# partner keeps the two-qubit closed form, the sum of _spinflip_values of
-# its 4 x d amplitude block.  A pair with a qubit assistant X is searched.
-# Measuring X along Bloch direction n leaves A with the subnormalized
-# marginal M(n) = Tr_X[rho_AX (1 x P(n))], P(n) = (1 + n.sigma) / 2, which is
-# affine in n.  So det M(n) is a quadratic Q(n) = c + n.A n + 2 b.n, and the
-# projective measurement {n, -n} gives the average concurrence
-# 2 sqrt(Q(n)) + 2 sqrt(Q(-n)).  Its maximum over the sphere is the
-# projective lower bound on C_a; concavity of sqrt(det) bounds C_a above by
-# the cut.  The quadratic form gives the search its derivatives, but its
-# value cancels where Q is small, so values are sums of squared minors of
-# the conditional amplitudes (Cauchy-Binet again).  Everything runs
-# elementwise or per matrix, so one state and a batch agree bit for bit.
+# With M the dA x (dB dC) block of A against BC, rho_A = M M^H, and by
+# Cauchy-Binet 2 (1 - Tr rho_A^2) = 4 sum |M_ij M_kl - M_il M_kj|^2 over row
+# pairs i < k and column pairs j < l (4 det rho_A for qubit A): a sum of
+# non-negative terms, which does not cancel on near-product cuts.  With
+# d_A = 2, a pair with a qubit partner keeps the two-qubit closed form, the
+# sum of _spinflip_values of its 4 x d amplitude block.  A pair with a qubit
+# assistant X is searched.  Measuring X along Bloch direction n leaves A
+# with the subnormalized marginal M(n) = Tr_X[rho_AX (1 x P(n))], P(n) =
+# (1 + n.sigma) / 2, which is affine in n.  So det M(n) is a quadratic
+# Q(n) = c + n.A n + 2 b.n, and the projective measurement {n, -n} gives
+# the average concurrence 2 sqrt(Q(n)) + 2 sqrt(Q(-n)).  Its maximum over
+# the sphere is the projective lower bound on C_a; concavity of sqrt(det)
+# bounds C_a above by the cut.  The quadratic form gives the search its
+# derivatives, but its value cancels where Q is small, so values are sums
+# of squared minors of the conditional amplitudes (Cauchy-Binet again).
+# Everything runs elementwise or per matrix, so one state and a batch agree
+# bit for bit.
 
 
 def _cut_concurrence(m) -> np.ndarray:
-    """2 sqrt(sum_{j<l} |m0j m1l - m0l m1j|^2) of (N, 2, k) amplitude blocks."""
-    m0, m1 = m[:, 0], m[:, 1]
-    acc = np.zeros(len(m))
+    """2 sqrt(sum_{i<k, j<l} |m_ij m_kl - m_il m_kj|^2) of (N, dA, n) amplitude blocks.
+
+    The sum runs per row pair over the column pairs, then over the row
+    pairs, so for qubit A the one row pair adds nothing to the arithmetic.
+    """
+    i, k = np.triu_indices(m.shape[1], 1)
+    top, bottom = m[:, i], m[:, k]
+    acc = np.zeros((len(m), len(i)))
     for j in range(m.shape[2] - 1):
-        minor = m0[:, j, None] * m1[:, j + 1:] - m0[:, j + 1:] * m1[:, j, None]
-        acc += (minor.real * minor.real + minor.imag * minor.imag).sum(axis=1)
-    return 2.0 * np.sqrt(acc)
+        minor = top[:, :, j, None] * bottom[:, :, j + 1:] - top[:, :, j + 1:] * bottom[:, :, j, None]
+        acc += (minor.real * minor.real + minor.imag * minor.imag).sum(axis=2)
+    return 2.0 * np.sqrt(acc.sum(axis=1))
+
+
+def _spinflip_values(psi) -> np.ndarray:
+    """Singular values of psi^T (Y x Y) psi for (N, 4, d) blocks with rows |ab>.
+
+    They are the nonzero sqrt-eigenvalues of rho * rho_tilde for the
+    two-qubit rho = psi psi^H (Takagi route).
+    """
+    r00, r01, r10, r11 = (psi[:, k, :, None] for k in range(4))
+    c00, c01, c10, c11 = (psi[:, k, None, :] for k in range(4))
+    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
 
 
 def _sum3(p):
@@ -481,41 +420,33 @@ def _check_triple(dims, mid: MeasureId):
                 f"pair A{partner} needs a qubit partner or a qubit assistant, got dims {dims}")
 
 
-def _assisted_pair(state, partner):
-    """C_a of the pair A-partner: closed form for a qubit partner, else the search."""
-    if state.dims[1 if partner == "B" else 2] == 2:
-        return float(_pair_assistance(state.tensor[None], partner)[0])
-    return assisted_concurrence(state, partner)
-
-
 def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
     """Evaluate (E_{A|BC}, E_{AB}, E_{AC}) for the requested measure.
 
     Concurrence and EoF require a three-qubit state.  Concurrence of
     assistance requires qubit A, and each pair a qubit partner (closed
     form) or a qubit assistant (projective search).  Entanglement cost is
-    lookup-only (see entanglement_cost_lookup).  Three-qubit triples come
-    from the spin-flip kernel; the others are one-state calls of the batch
-    path in _measure_triples.
+    lookup-only (see entanglement_cost_lookup).  This is the one-state call
+    of _measure_triples, so a state and a batch agree bit for bit.
     """
-    _check_triple(state.dims, mid)
-    if state.dims == (2, 2, 2):
-        return MeasureTriple(*_three_qubit_triples(state.amps, mid)[0].tolist(), mid)
-    return MeasureTriple(
-        assistance_pure_cut(state), _assisted_pair(state, "B"), _assisted_pair(state, "C"), mid
-    )
+    return MeasureTriple(*_measure_triples(state.dims, state.amps[None], mid)[0].tolist(), mid)
 
 
 def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     """(N, 3) triples of N states given as unit-norm amplitude rows.
 
-    Three-qubit rows go through the spin-flip kernel; qubit-A ca rows
-    through the Cauchy-Binet cut and one pair call per partner.
+    Three-qubit rows go through the spin-flip kernel, and each measure maps
+    its spectra; qubit-A ca rows through the Cauchy-Binet cut and one pair
+    call per partner.
     """
     dims = tuple(dims)
     _check_triple(dims, mid)
     if dims == (2, 2, 2):
-        return _three_qubit_triples(amps, mid)
+        spectra = spinflip_kernel(amps)
+        if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
+            return spectra[..., 0] + spectra[..., 1]
+        c = spectra[..., 0] - spectra[..., 1]  # s1 >= s2, so C >= 0
+        return formation_of_concurrence(c) if mid is MeasureId.EOF else c
     t = np.asarray(amps).reshape((-1,) + dims)
     return np.stack([_cut_concurrence(t.reshape(len(t), 2, -1)),
                      _pair_assistance(t, "B"), _pair_assistance(t, "C")], axis=1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def validate(self):
-        """Full invariant check including positivity (costs an eigh)."""
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] < -1e-10:
-            raise StateError(f"density matrix has eigenvalue {w[0]} < -1e-10")
-        return self
-
 
 @dataclass(frozen=True)
 class SchmidtParams:
@@ -106,7 +100,10 @@ class SchmidtParams:
 
 
 def _check_dims(dims):
+    """(dA, dB, dC) as ints, from integers or decimal strings (not bools or floats)."""
     try:
+        if any(isinstance(d, bool) or not isinstance(d, (str, numbers.Integral)) for d in dims):
+            raise TypeError
         dims = tuple(int(d) for d in dims)
     except (TypeError, ValueError):
         raise StateError(f"dims must be three positive integers, got {dims!r}") from None
@@ -413,20 +410,15 @@ def reduced_density(state: PureTripartiteState, keep) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in [1/dim, 1] up to round-off."""
-    return float(np.real(np.trace(rho.mat @ rho.mat)))
-
-
 # --- state file I/O ---------------------------------------------------------
 
 
 def load_state(path) -> PureTripartiteState:
     """Read a state file: {"dims": [dA,dB,dC], "amps": [[re,im], ...]}."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise StateError(f"{path}: not valid JSON ({exc})") from exc
     try:
         dims = doc["dims"]

