@@ -140,6 +140,13 @@ class TestAssistance:
             assert concurrence_of_assistance(rho) >= wootters_concurrence(rho) - 1e-9
 
 
+class TestAssistancePureCut:
+    """The A|BC cut of the assistance triple is the pure-state cut concurrence."""
+
+    def test_ghz(self):
+        t = measure_triple(ghz(), MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert t.e_abc == pytest.approx(1.0, abs=1e-12)
+
 class TestEoF:
     def test_bell(self):
         assert eof_two_qubit(bell_projector()) == pytest.approx(1.0, abs=1e-12)
