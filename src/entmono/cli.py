@@ -128,9 +128,9 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     mid = MeasureId.from_string(args.measure)
     family = {"w": "w_class", "haar": "haar", "schmidt": "schmidt"}.get(args.family, args.family)
+    os.makedirs(args.out, exist_ok=True)  # before sampling: a bad --out fails fast
     report = monogamy.sweep(args.dims.split(","), mid, args.y, args.samples, args.seed,
                             family=family, eps=args.eps)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "sweep_report.json")
     with open(report_path, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)

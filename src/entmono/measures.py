@@ -172,7 +172,7 @@ def spinflip_kernel(amps) -> np.ndarray:
 # derivatives, but its value cancels where Q is small, so values are sums
 # of squared minors of the conditional amplitudes (Cauchy-Binet again).
 # Everything runs elementwise or per matrix, so one state and a batch agree
-# bit for bit.
+# bit for bit, and the Newton steps can run on the live searches only.
 
 
 def _cut_concurrence(m) -> np.ndarray:
@@ -335,21 +335,28 @@ def _assistant_search(psi) -> np.ndarray:
     is evaluated on the hemisphere grid; the best _STARTS points take up to
     _NEWTON_STEPS safeguarded ascent steps, each kept only if it raises the
     objective, so the result is never below the grid maximum.  A search
-    stops on its own criterion, so a state's value does not depend on the
-    rest of the batch.
+    stops on its own criterion and then leaves the working arrays, so the
+    steps run on live searches only and a state's value does not depend on
+    the rest of the batch.
     """
     if psi.shape[2] > 4:  # the vectors psi[:, a, :, x] span at most 4 partner dims
         r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
         psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
-    c, quad, lin = _det_form(psi)
-    t = _minor_form(psi)
-    grid = np.concatenate([_average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t], _GRID_KETS)
+    c0, quad0, lin0 = _det_form(psi)
+    t0 = _minor_form(psi)
+    grid = np.concatenate([_average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t0], _GRID_KETS)
                            for k in range(0, len(psi), _GRID_BLOCK)])
-    top = np.argsort(-grid, axis=1, kind="stable")[:, :_STARTS]
-    n, best = _GRID[:, top], np.take_along_axis(grid, top, axis=1)
-    c, quad, lin = c[:, None], quad[..., None], lin[..., None]
+    # the best _STARTS grid points, ties to the lower index: one argmax pass each
+    rows, top, best = np.arange(len(psi)), [], []
+    for _ in range(_STARTS):
+        top.append(k := grid.argmax(axis=1))
+        best.append(grid[rows, k])
+        grid[rows, k] = -np.inf
+    n, best = _GRID[:, np.stack(top, axis=1)], np.stack(best, axis=1)
     radius = np.full(best.shape, _RADIUS)
-    active = np.ones(best.shape, dtype=bool)
+    # (N, _STARTS) searches until one stops, then a flat axis of live ones (state * _STARTS + start)
+    c, quad, lin, t = c0[:, None], quad0[..., None], lin0[..., None], t0
+    found, live = np.empty(best.size), np.arange(best.size)
     # outcomes with Q = 0 give infinite derivatives; such steps are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -357,14 +364,23 @@ def _assistant_search(psi) -> np.ndarray:
             trial = n + step
             trial = trial / np.sqrt(_sum3(trial * trial))
             value = _average_concurrence(t, _ket_monomials(trial))
-            up = active & (value > best)
+            up = value > best
             n = np.where(up, trial, n)
             best = np.where(up, value, best)
             radius = np.where(up, 2.0 * radius, 0.25 * length)
-            active &= gain > _GAIN_TOL
-            if not active.any():
-                break
-    return best.max(axis=1)
+            going = (gain > _GAIN_TOL).ravel()
+            if not going.all():  # the searches that stop here are final: write out, drop
+                found[live] = best.ravel()
+                if not going.any():
+                    break
+                live = live[going]
+                n = n.reshape(3, -1)[:, going, None]
+                best, radius = best.ravel()[going, None], radius.ravel()[going, None]
+                own = live // _STARTS
+                c, quad, lin = c0[own, None], quad0[..., own, None], lin0[..., own, None]
+                t = [x[:, own] for x in t0]
+    found[live] = best.ravel()
+    return found.reshape(-1, _STARTS).max(axis=1)
 
 
 def _pair_assistance(t, partner) -> np.ndarray:

@@ -315,7 +315,7 @@ def _sample_state(dims, family, seed, index):
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    rows = _states.family_rows(dims, family, _states.index_streams(seed, index, index + 1))
+    rows = _states.family_rows(dims, family, [np.random.Generator(np.random.PCG64((seed, index)))])
     return _states.PureTripartiteState(tuple(dims), rows[0])
 
 

@@ -250,15 +250,13 @@ def _check_family(dims, family):
 def family_rows(dims, family, rngs) -> np.ndarray:
     """Unit amplitude rows of random states of a family, one per Generator.
 
-    Each row draws from the next Generator of ``rngs`` before the one after
-    it is taken, so an iterable that re-seeds one Generator between rows
-    (``index_streams``) works: haar takes 2 dA dB dC normals (real parts,
-    then imaginary parts); w_class takes 8 normals, the real then imaginary
-    parts of b0..b3; schmidt takes 5 normals, whose absolute values are
-    l0..l4, then a uniform phase phi.  The coefficients are normalized, then
-    placed as in ``w_class`` and ``from_schmidt``.  All rows are normalized
-    at once with the arithmetic of the one-state constructors, which are the
-    one-row calls of the same helpers.
+    Each row draws from its own Generator of ``rngs``: haar takes 2 dA dB dC
+    normals (real parts, then imaginary parts); w_class takes 8 normals,
+    the real then imaginary parts of b0..b3; schmidt takes 5 normals, whose
+    absolute values are l0..l4, then a uniform phase phi.  The coefficients
+    are normalized, then placed as in ``w_class`` and ``from_schmidt``.  All
+    rows are normalized at once with the arithmetic of the one-state
+    constructors, which are the one-row calls of the same helpers.
     """
     _check_family(dims, family)
     total = dims[0] * dims[1] * dims[2]
@@ -287,18 +285,16 @@ def haar_random(dims, rng_seed) -> PureTripartiteState:
 #
 # Sample i of a sweep at seed s draws from Generator(PCG64(SeedSequence((s, i)))).
 # The code below yields those streams for a block of indices bit for bit,
-# without one SeedSequence and PCG64 object per index: numpy's SeedSequence
-# hash (mix_entropy and generate_state in numpy/random/bit_generator.pyx)
-# runs on uint32 columns over the whole block, PCG64's seeding step
-# (pcg64_set_seed) on Python ints, and one Generator is re-seeded per index.
+# without one SeedSequence object per index: numpy's SeedSequence hash
+# (mix_entropy and generate_state in numpy/random/bit_generator.pyx) runs on
+# uint32 columns over the whole block, and each index's PCG64 seeds itself
+# from its row of the result.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE, _XSHIFT = 4, 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _n_words(v):
@@ -365,23 +361,26 @@ def _seed_state_words(seed, start, n):
     return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
 
 
+@dataclass
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose generate_state(4, np.uint64) is a given row."""
+
+    row: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:  # not PCG64's request
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}")
+        return self.row
+
+
 def index_streams(seed, start, stop):
     """Yield Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
 
-    The streams are numpy's bit for bit, but one Generator is yielded
-    throughout, its state set to index i's stream at step i: draw from it
-    before taking the next.  seed and indices are non-negative ints.
+    The streams are numpy's bit for bit, and each Generator is its own.
+    seed and indices are non-negative ints.
     """
-    seed, start, stop = int(seed), int(start), int(stop)
-    rng = np.random.Generator(np.random.PCG64(0))
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in _seed_state_words(seed, start, stop - start).tolist():
-        # pcg64_set_seed: inc = initseq << 1 | 1, then two LCG steps from 0
-        pcg["inc"] = inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = state
-        yield rng
+    for row in _seed_state_words(int(seed), int(start), int(stop) - int(start)):
+        yield np.random.Generator(np.random.PCG64(_StateWords(row)))
 
 
 _AXIS = {"A": 0, "B": 1, "C": 2}

@@ -1,9 +1,12 @@
-"""Mixed-state formulas on density matrices, which tests use as references
-for the pure-state batch code; no package path calls them."""
+"""References that tests hold the batch code to; no package path calls them.
+
+Mixed-state formulas on density matrices, and the dense assistant search.
+"""
 
 import numpy as np
 
 from entmono import DensityMatrix, MeasureError, StateError
+from entmono import measures as m
 from entmono.measures import _spinflip_values, formation_of_concurrence
 
 # Spectral values below this are numerical noise from exactly-zero
@@ -62,3 +65,39 @@ def concurrence_of_assistance(rho: DensityMatrix) -> float:
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Two-qubit entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
     return formation_of_concurrence(wootters_concurrence(rho))
+
+
+def dense_assistant_search(psi) -> np.ndarray:
+    """measures._assistant_search with every search kept through every step.
+
+    The (N, _STARTS) searches step together until none is active; one that
+    has stopped is carried along, masked out of each update.  The starts
+    come from a stable argsort of the grid.
+    """
+    if psi.shape[2] > 4:
+        r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
+        psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
+    c, quad, lin = m._det_form(psi)
+    t = m._minor_form(psi)
+    grid = np.concatenate([m._average_concurrence([x[:, k:k + m._GRID_BLOCK] for x in t],
+                                                  m._GRID_KETS)
+                           for k in range(0, len(psi), m._GRID_BLOCK)])
+    top = np.argsort(-grid, axis=1, kind="stable")[:, :m._STARTS]
+    n, best = m._GRID[:, top], np.take_along_axis(grid, top, axis=1)
+    c, quad, lin = c[:, None], quad[..., None], lin[..., None]
+    radius = np.full(best.shape, m._RADIUS)
+    active = np.ones(best.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(m._NEWTON_STEPS):
+            step, length, gain = m._ascent_step(n, c, quad, lin, radius)
+            trial = n + step
+            trial = trial / np.sqrt(m._sum3(trial * trial))
+            value = m._average_concurrence(t, m._ket_monomials(trial))
+            up = active & (value > best)
+            n = np.where(up, trial, n)
+            best = np.where(up, value, best)
+            radius = np.where(up, 2.0 * radius, 0.25 * length)
+            active &= gain > m._GAIN_TOL
+            if not active.any():
+                break
+    return best.max(axis=1)

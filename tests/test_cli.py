@@ -184,6 +184,19 @@ class TestRejectedInputs:
         assert err.startswith("error:")
         assert not (tmp_path / "sweep_report.json").exists()
 
+    def test_sweep_out_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before sampling, so no chunk is evaluated
+        def no_chunk(args):
+            pytest.fail("a chunk was evaluated before --out was checked")
+
+        monkeypatch.setattr("entmono.monogamy._sweep_chunk", no_chunk)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, _, err = run_cli(["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "50",
+                                "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "File exists" in err
+
     @pytest.mark.parametrize("extra", [
         ["--y", "nan"], ["--y", "inf"], ["--eps", "-1"], ["--alpha", "nan"], ["--alpha", "0"],
         ["--example", "wclass:nan,1,1,1"], ["--example", "schmidt:1,1,1,1,1,inf"],

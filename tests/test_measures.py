@@ -26,13 +26,15 @@ from entmono import (
 from entmono.measures import (
     LOG2_3,
     _YY,
+    _assistant_search,
     _measure_triples,
     assisted_concurrence,
     binary_entropy,
     spinflip_kernel,
 )
-from reference import (concurrence_of_assistance, eof_two_qubit, spinflip_sqrt_spectrum,
-                       von_neumann_entropy, wootters_concurrence)
+from entmono.states import family_rows, index_streams
+from reference import (concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
+                       spinflip_sqrt_spectrum, von_neumann_entropy, wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -449,6 +451,37 @@ class TestAssistedSearch:
         amps = np.zeros(12, dtype=complex)
         amps[0 * 6 + 0 * 3 + 0] = amps[1 * 6 + 0 * 3 + 1] = S2
         assert assisted_concurrence(pure_state_new((2, 2, 3), amps), "C") == pytest.approx(1.0, abs=1e-15)
+
+    @staticmethod
+    def _searched(dims, amps):
+        """The searched pair of (N, dA dB dC) rows: axes A, partner, qubit assistant."""
+        t = np.asarray(amps).reshape((-1,) + dims)
+        return t.swapaxes(2, 3) if dims[1] == 2 else t
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
+    def test_live_search_equals_dense(self, dims):
+        # dropping stopped searches changes no value: the old loop stepped all
+        psi = self._searched(dims, family_rows(dims, "haar", index_streams(61, 0, 512)))
+        live = _assistant_search(psi)
+        assert live.tobytes() == dense_assistant_search(psi).tobytes()
+        assert live.tobytes() == _assistant_search(psi[::-1])[::-1].tobytes()
+
+    def test_live_search_structured_states(self):
+        unentangled = np.zeros(12, dtype=complex)  # Bell pair on A|C, B in |0>
+        unentangled[0] = unentangled[1 * 6 + 1] = S2
+        rng = np.random.default_rng(5)
+        a, bc = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 6))
+        product = np.kron(a, bc) / np.linalg.norm(a) / np.linalg.norm(bc)  # A in a product with BC
+        rows = np.stack([example_223().amps, unentangled, product]
+                        + [haar_random((2, 2, 3), 90_000 + k).amps for k in range(5)])
+        psi = self._searched((2, 2, 3), rows)
+        live = _assistant_search(psi)
+        assert live.tobytes() == dense_assistant_search(psi).tobytes()
+        assert live.tobytes() == _assistant_search(psi[::-1])[::-1].tobytes()
+        for k in range(3):
+            assert live[k] == _assistant_search(psi[k:k + 1])[0]
+        assert live[1] == pytest.approx(1.0, abs=1e-15)
+        assert live[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_needs_qubit_assistant(self):
         with pytest.raises(MeasureError, match="qubit partner or a qubit assistant"):

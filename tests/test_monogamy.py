@@ -35,7 +35,7 @@ from entmono import (
 from entmono import monogamy
 from entmono.measures import LOG2_3, MeasureError
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
-from entmono.states import family_rows, index_streams
+from entmono.states import _StateWords, family_rows, index_streams
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -527,6 +527,22 @@ class TestChunkSampling:
             ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
             assert rng.bit_generator.state == ref.bit_generator.state
             assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_streams_are_independent(self):
+        # hold every Generator first, then draw from them in reverse order
+        rngs = list(index_streams(5, 2**32 - 4, 2**32 + 4))
+        for rng, i in reversed(list(zip(rngs, range(2**32 - 4, 2**32 + 4)))):
+            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, i))))
+            assert rng.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
+    def test_state_words_hold_pcg64_seed_only(self, n_words, dtype):
+        # a numpy that seeds PCG64 with another request fails loudly
+        row = np.random.SeedSequence((3, 1)).generate_state(4, np.uint64)
+        words = _StateWords(row)
+        assert words.generate_state(4, np.uint64) is row
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            words.generate_state(n_words, dtype)
 
 
 class TestWorkerCount:
