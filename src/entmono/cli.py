@@ -20,11 +20,21 @@ from .measures import MeasureId, MeasureTriple
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WITNESS = 2
+_CELL = "%.12g"  # CSV cells and summary numbers: 12 significant digits
 
 
 def _fmt(v) -> str:
     """12-significant-digit numeric formatting for CSV cells."""
-    return format(float(v), ".12g")
+    return _CELL % float(v)
+
+
+def _write_csv(path, header, rows):
+    """A header line, then rows through one template: integers in full, the rest as _fmt."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        if rows:
+            line = ",".join("%d" if isinstance(v, int) else _CELL for v in rows[0]) + "\n"
+            fh.write("".join([line % row for row in rows]))
 
 
 def _parse_reals(spec, n, what):
@@ -107,7 +117,7 @@ def cmd_analyze(args) -> int:
         thm3 = {"alpha": monogamy.theorem3_alpha(t)}
     except monogamy.DomainError as exc:
         thm3 = {"error": str(exc)}
-    alpha = monogamy.min_alpha(t)
+    alpha = monogamy.min_alpha(t, eps=args.eps)
     print(json.dumps({
         "state": descriptor,
         "measure": mid.value,
@@ -128,18 +138,21 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     mid = MeasureId.from_string(args.measure)
     family = {"w": "w_class", "haar": "haar", "schmidt": "schmidt"}.get(args.family, args.family)
+    made = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)  # before sampling: a bad --out fails fast
-    report = monogamy.sweep(args.dims.split(","), mid, args.y, args.samples, args.seed,
-                            family=family, eps=args.eps)
+    try:
+        report = monogamy.sweep(args.dims.split(","), mid, args.y, args.samples, args.seed,
+                                family=family, eps=args.eps)
+    except BaseException:
+        if made:  # leave no empty directory behind a rejected sweep
+            os.rmdir(args.out)
+        raise
     report_path = os.path.join(args.out, "sweep_report.json")
     with open(report_path, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")
     hist_path = os.path.join(args.out, "sweep_histogram.csv")
-    with open(hist_path, "w") as fh:
-        fh.write("bucket_lo,bucket_hi,count\n")
-        for lo, hi, count in report.histogram:
-            fh.write(f"{_fmt(lo)},{_fmt(hi)},{count}\n")
+    _write_csv(hist_path, "bucket_lo,bucket_hi,count", report.histogram)
     print(f"report: {report_path}")
     print(f"histogram: {hist_path}")
     print(
@@ -182,19 +195,12 @@ def cmd_figures(args) -> int:
     # the residual crosses zero at log2 / log(log2 3) = 1.50500706...; the
     # grid starts at the next 0.005 step above it so every row is >= 0
     fig1 = os.path.join(args.out, "fig1.csv")
-    with open(fig1, "w") as fh:
-        fh.write("alpha,f_alpha\n")
-        for k in range(299):
-            alpha = 1.51 + 0.005 * k
-            fh.write(f"{_fmt(alpha)},{_fmt(monogamy.residual(t, alpha))}\n")
+    alphas = [1.51 + 0.005 * k for k in range(299)]
+    _write_csv(fig1, "alpha,f_alpha", [(a, monogamy.residual(t, a)) for a in alphas])
 
     fig2 = os.path.join(args.out, "fig2.csv")
     y_grid = [0.1 + 0.01 * k for k in range(391)]
-    rows = monogamy.beta_curves(t, y_grid)
-    with open(fig2, "w") as fh:
-        fh.write("y,z1,z2\n")
-        for y, z1, z2 in rows:
-            fh.write(f"{_fmt(y)},{_fmt(z1)},{_fmt(z2)}\n")
+    _write_csv(fig2, "y,z1,z2", monogamy.beta_curves(t, y_grid))
 
     print(f"wrote {fig1}")
     print(f"wrote {fig2}")

@@ -14,10 +14,11 @@ finite x and defeats monogamy at every exponent.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,8 +179,7 @@ def per_state_base(t: MeasureTriple) -> float:
 
 def theorem3_alpha(t: MeasureTriple) -> float:
     """Per-state monogamy exponent log_b 2 with b = cut / max-pair value."""
-    b = per_state_base(t)
-    return math.log(2.0) / math.log(b)
+    return theorem3_alpha_relaxed(per_state_base(t))
 
 
 def theorem3_alpha_relaxed(c: float) -> float:
@@ -282,32 +282,15 @@ class SweepReport:
     witnesses: list  # (sample seed index, MeasureTriple), sorted by index
     histogram: list  # (bucket_lo, bucket_hi, count)
     certified_alpha: float | None
+    certificate_kind: str = field(default=CertificateKind.THEOREM1_BOUND.value, init=False)
     empirical: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "measure": self.measure.value,
-            "family": self.family,
-            "y": self.y,
-            "seed": self.seed,
-            "samples": self.samples,
-            "zero_count": self.zero_count,
-            "finite_count": self.finite_count,
-            "unbounded_count": self.unbounded_count,
-            "monotonicity_violations": self.monotonicity_violations,
-            "max_finite_x": self.max_finite_x,
-            "witnesses": [
-                {"seed": i, "triple": list(t.as_tuple())} for i, t in self.witnesses
-            ],
-            "histogram": [
-                {"bucket_lo": lo, "bucket_hi": hi, "count": n}
-                for lo, hi, n in self.histogram
-            ],
-            "certified_alpha": self.certified_alpha,
-            "certificate_kind": CertificateKind.THEOREM1_BOUND.value,
-            "empirical": self.empirical,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "dims": list(self.dims), "measure": self.measure.value,
+                "witnesses": [{"seed": i, "triple": list(t.as_tuple())} for i, t in self.witnesses],
+                "histogram": [{"bucket_lo": lo, "bucket_hi": hi, "count": n}
+                              for lo, hi, n in self.histogram]}
 
 
 def _sample_state(dims, family, seed, index):
@@ -319,21 +302,20 @@ def _sample_state(dims, family, seed, index):
     return _states.PureTripartiteState(tuple(dims), rows[0])
 
 
-def _sweep_chunk(args):
-    dims, mid_value, family, y, eps, master_seed, start, stop = args
-    mid = MeasureId(mid_value)
-    amps = _states.family_rows(dims, family, _states.index_streams(master_seed, start, stop))
+def _sweep_chunk(dims, mid, family, y, eps, seed, n, start):
+    """(zero, finite, unbounded, violations) counts, finite x and witnesses of one chunk."""
+    stop = min(start + _SWEEP_CHUNK, n)
+    amps = _states.family_rows(dims, family, _states.index_streams(seed, start, stop))
     triples = _measures._measure_triples(dims, amps, mid)
     hi = np.maximum(triples[:, 1], triples[:, 2])
     lo = np.minimum(triples[:, 1], triples[:, 2])
     kind, x, violation = _classify(triples[:, 0], hi, lo, y, eps)
-    counts = np.bincount(kind, minlength=3)
+    counts = np.append(np.bincount(kind, minlength=3), violation.sum())
     witnesses = [
         (start + int(k), MeasureTriple(*triples[k].tolist(), mid))
         for k in np.flatnonzero(kind == 2)
     ]
-    return (int(counts[0]), int(counts[1]), int(counts[2]), int(violation.sum()),
-            x[kind == 1], witnesses)
+    return counts, x[kind == 1], witnesses
 
 
 def _worker_count(n_chunks):
@@ -372,30 +354,26 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
         raise DomainError(str(exc)) from None
     _measures._check_triple(dims, mid)
 
-    bounds = list(range(0, n, _SWEEP_CHUNK)) + [n]
-    chunks = [
-        (dims, mid.value, family, y, eps, seed, bounds[k], bounds[k + 1])
-        for k in range(len(bounds) - 1)
-    ]
-    workers = _worker_count(len(chunks))
+    chunk = functools.partial(_sweep_chunk, dims, mid, family, y, eps, seed, n)
+    starts = range(0, n, _SWEEP_CHUNK)
+    workers = _worker_count(len(starts))
     if workers > 1 and n >= 4 * _SWEEP_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_chunk, chunks))
+            results = list(pool.map(chunk, starts))
     else:
-        results = [_sweep_chunk(c) for c in chunks]
+        results = [chunk(start) for start in starts]
 
-    zero, finite, unbounded, violations = (sum(r[k] for r in results) for k in range(4))
-    witnesses = [w for r in results for w in r[5]]
-    finite_arr = np.concatenate([r[4] for r in results])
+    chunk_counts, finite_xs, chunk_witnesses = zip(*results)
+    zero, finite, unbounded, violations = np.sum(chunk_counts, axis=0).tolist()
+    witnesses = [w for ws in chunk_witnesses for w in ws]
+    finite_arr = np.concatenate(finite_xs)
     max_x = float(finite_arr.max()) if finite else 0.0
     histogram = []
     if finite:
         counts, edges = np.histogram(finite_arr, bins=50, range=(0.0, max_x))
-        histogram = [
-            (float(edges[k]), float(edges[k + 1]), int(counts[k])) for k in range(50)
-        ]
+        histogram = list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     certified = alpha_from_bound(max_x, y) if unbounded == 0 else None
     return SweepReport(
         dims=dims, measure=mid, family=family, y=y, seed=seed, samples=n,
@@ -411,7 +389,7 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 def certify_per_state(t: MeasureTriple) -> Certificate:
     """Per-state exponent certificate log_b 2 with its verified residual."""
     b = per_state_base(t)
-    alpha = theorem3_alpha(t)
+    alpha = theorem3_alpha_relaxed(b)
     return Certificate(
         CertificateKind.THEOREM3_PER_STATE,
         alpha,

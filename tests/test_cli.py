@@ -99,6 +99,15 @@ class TestAnalyze:
         rec = json.loads(out)
         assert rec["state"] == str(p)
 
+    def test_eps_reaches_min_alpha(self, capsys):
+        # the smaller pair value is below --eps, so every exponent works
+        code, out, _ = run_cli(["analyze", "--example", "wclass:0,1,1,0.0001", "--measure", "c",
+                                "--eps", "1e-3"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["x"]["kind"] == "zero"
+        assert rec["min_alpha"] == 0.0
+
 
 class TestInlineExamples:
     def test_wclass_normalized(self):
@@ -186,7 +195,7 @@ class TestRejectedInputs:
 
     def test_sweep_out_is_a_file(self, tmp_path, capsys, monkeypatch):
         # the output directory is made before sampling, so no chunk is evaluated
-        def no_chunk(args):
+        def no_chunk(*args):
             pytest.fail("a chunk was evaluated before --out was checked")
 
         monkeypatch.setattr("entmono.monogamy._sweep_chunk", no_chunk)
@@ -196,6 +205,14 @@ class TestRejectedInputs:
                                 "--out", str(out)], capsys)
         assert code == 1
         assert err.startswith("error:") and "File exists" in err
+
+    def test_rejected_sweep_leaves_no_out(self, tmp_path, capsys):
+        out = tmp_path / "new_dir"
+        code, _, err = run_cli(["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "10",
+                                "--y", "-1", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [
         ["--y", "nan"], ["--y", "inf"], ["--eps", "-1"], ["--alpha", "nan"], ["--alpha", "0"],

@@ -315,6 +315,14 @@ class TestSweep:
         b = sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, 300, 9)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
+    def test_report_key_order(self):
+        r = sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, 20, 9)
+        assert list(r.to_json_dict()) == [
+            "dims", "measure", "family", "y", "seed", "samples", "zero_count", "finite_count",
+            "unbounded_count", "monotonicity_violations", "max_finite_x", "witnesses",
+            "histogram", "certified_alpha", "certificate_kind", "empirical",
+        ]
+
     def test_w_class_x_in_zero_one(self):
         r = sweep((2, 2, 2), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 500, 1,
                   family="w_class")
