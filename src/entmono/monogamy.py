@@ -100,27 +100,24 @@ def _check_eps(eps):
 _KINDS = (XKind.ZERO, XKind.FINITE, XKind.UNBOUNDED)
 
 
-def _pow(values, y):
-    """values ** y by Python's float power, which numpy's array power does
-    not match bit for bit; y is a float or an array as long as values."""
-    ys = y.tolist() if isinstance(y, np.ndarray) else [y] * len(values)
-    return np.array([v ** e for v, e in zip(values.tolist(), ys)])
-
-
 def _classify(cut, hi, lo, y, eps):
     """The x-rule on 1-D arrays of (cut, max pair, min pair) values.
 
     Returns (kind, x, violation): kind indexes _KINDS.  Zero when min^y is
-    below eps (this takes precedence when the gap vanishes too); Unbounded
-    when the gap cut^y - max^y is below eps or not positive, or when the cut
-    value lies below the larger pair value by more than eps (a monotonicity
-    violation, whose negative gap counts as vanished); else Finite with
-    x = min^y / gap.
+    below eps or min is 0 (this takes precedence when the gap vanishes too);
+    Unbounded when the gap cut^y - max^y is below eps or not positive, or
+    when the cut value lies below the larger pair value by more than eps (a
+    monotonicity violation, whose negative gap counts as vanished); else
+    Finite with x = min^y / gap.  y is a float or an array as long as the
+    values; a power that leaves the float range raises DomainError.
     """
-    m = _pow(lo, y)
-    gap = _pow(cut, y) - _pow(hi, y)
+    with np.errstate(over="ignore"):
+        m = lo ** y
+        gap = cut ** y - hi ** y
+    if not np.isfinite(gap).all():
+        raise DomainError(f"cut^y or max^y overflows at y={np.max(y)}")
     violation = cut < hi - eps
-    zero = m < eps
+    zero = (m < eps) | (lo == 0.0)
     unbounded = ~zero & (violation | (gap < eps) | (gap <= 0.0))
     finite = ~(zero | unbounded)
     x = np.zeros(len(m))
@@ -190,30 +187,28 @@ def theorem3_alpha_relaxed(c: float) -> float:
 
 
 def is_theorem2_witness(t: MeasureTriple, eps: float = DEFAULT_EPS) -> bool:
-    """True iff the cut equals the larger pair value and the smaller is positive.
+    """True iff the x-equation has no finite solution: the cut equals the
+    larger pair value and the smaller is positive, by the x-rule at y = 1.
 
     Such a state rules out monogamy at every exponent.
     """
-    _check_eps(eps)
-    cut, hi, lo = _split(t, eps)
-    return abs(cut - hi) < eps and lo >= eps
+    return solve_x(t, 1.0, eps).kind is XKind.UNBOUNDED
 
 
 def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
     """Smallest exponent at which the residual turns non-negative.
 
-    Returns 0.0 when the smaller pair value vanishes (monogamous at every
-    exponent), math.inf when no finite exponent works (witness case or
-    bracket failure), else the root of the residual found by bisection on
-    [tol, 64] to within tol: the iteration of scipy.optimize.bisect, whose
-    roots it returns bit for bit.
+    Returns 0.0 when x is zero at y = 1 (monogamous at every exponent),
+    math.inf when x is unbounded there (witness case) or the bracket fails,
+    else the root of the residual found by bisection on [tol, 64] to within
+    tol: the iteration of scipy.optimize.bisect, whose roots it returns bit
+    for bit.
     """
     _check_positive("tol", tol)
-    _check_eps(eps)
-    cut, hi, lo = _split(t, eps)
-    if lo < eps:
+    kind = solve_x(t, 1.0, eps).kind
+    if kind is XKind.ZERO:
         return 0.0
-    if abs(cut - hi) < eps:
+    if kind is XKind.UNBOUNDED:
         return math.inf
     fa = residual(t, tol)
     if fa >= 0.0:

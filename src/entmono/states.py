@@ -284,11 +284,12 @@ def haar_random(dims, rng_seed) -> PureTripartiteState:
 # --- per-index streams ------------------------------------------------------
 #
 # Sample i of a sweep at seed s draws from Generator(PCG64(SeedSequence((s, i)))).
-# The code below yields those streams for a block of indices bit for bit,
-# without one SeedSequence object per index: numpy's SeedSequence hash
-# (mix_entropy and generate_state in numpy/random/bit_generator.pyx) runs on
-# uint32 columns over the whole block, and each index's PCG64 seeds itself
-# from its row of the result.
+# The code below yields those streams for a block of indices below 2**32 bit
+# for bit, without one SeedSequence object per index: numpy's SeedSequence
+# hash (mix_entropy and generate_state in numpy/random/bit_generator.pyx)
+# runs on uint32 columns over the whole block, and each index's PCG64 seeds
+# itself from its row of the result.  Such an index is one entropy word, so
+# every row of a block has the same word count.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -297,30 +298,18 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE, _XSHIFT = 4, 16
 
 
-def _n_words(v):
-    """Number of 32-bit words SeedSequence uses for the non-negative int v."""
-    return max(1, -(-v.bit_length() // 32))
-
-
 def _entropy_words(seed, start, n):
     """Entropy words of (seed, i) for the n indices i from start on.
 
-    Returns an (n, W) uint32 array of the words of seed then of i, each
-    least significant first, zero-padded on the right to W >= the pool
-    size, and each row's word count.  n must be below 2**32.
+    Returns an (n, W) uint32 array of the words of seed, least significant
+    first, then of i, zero-padded on the right to W >= the pool size.
+    start + n must be at most 2**32.
     """
-    n_seed, n_index = _n_words(seed), _n_words(start + n - 1)
-    words = np.zeros((n, max(_POOL_SIZE, n_seed + n_index)), np.uint32)
+    n_seed = max(1, -(-seed.bit_length() // 32))
+    words = np.zeros((n, max(_POOL_SIZE, n_seed + 1)), np.uint32)
     words[:, :n_seed] = [seed >> 32 * j & _MASK32 for j in range(n_seed)]
-    carry = np.arange(n, dtype=np.uint64)  # start + offset, word by word
-    for j in range(n_index):
-        v = carry + np.uint64(start >> 32 * j & _MASK32)
-        words[:, n_seed + j] = v & _MASK32
-        carry = v >> 32
-    count = np.full(n, n_seed + 1)
-    for j in range(1, n_index):  # indices from 2**(32 j) on take word j too
-        count[max(0, (1 << 32 * j) - start):] += 1
-    return words, count
+    words[:, n_seed] = np.arange(start, start + n, dtype=np.uint32)
+    return words
 
 
 def _hash_consts(hash_const, mult):
@@ -346,16 +335,15 @@ def _mix(x, y):
 
 def _seed_state_words(seed, start, n):
     """(n, 4) uint64 rows SeedSequence((seed, i)).generate_state(4, np.uint64)."""
-    words, count = _entropy_words(seed, start, n)
+    words = _entropy_words(seed, start, n)
     consts = _hash_consts(_INIT_A, _MULT_A)
     # entropy shorter than the pool hashes as if padded with zero words
     pool = _hashmix(words[:, :_POOL_SIZE], consts, _POOL_SIZE)
     for src in range(_POOL_SIZE):  # each word mixes into the others, in numpy's order
         dst = [k for k in range(_POOL_SIZE) if k != src]
         pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], consts, len(dst)))
-    for src in range(_POOL_SIZE, words.shape[1]):  # entropy beyond the pool, row by row
-        mixed = _mix(pool, _hashmix(words[:, src:src + 1], consts, _POOL_SIZE))
-        pool = np.where(count[:, None] > src, mixed, pool)
+    for src in range(_POOL_SIZE, words.shape[1]):  # entropy beyond the pool
+        pool = _mix(pool, _hashmix(words[:, src:src + 1], consts, _POOL_SIZE))
     # generate_state: 8 uint32 words from the pool in turn, paired low word first
     out = _hashmix(np.tile(pool, 2), _hash_consts(_INIT_B, _MULT_B), 8).astype(np.uint64)
     return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
@@ -377,9 +365,15 @@ def index_streams(seed, start, stop):
     """Yield Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
 
     The streams are numpy's bit for bit, and each Generator is its own.
-    seed and indices are non-negative ints.
+    seed and indices are non-negative ints; a block that reaches 2**32
+    takes numpy's own SeedSequence for each index.
     """
-    for row in _seed_state_words(int(seed), int(start), int(stop) - int(start)):
+    seed, start, stop = int(seed), int(start), int(stop)
+    if stop > 1 << 32:
+        for i in range(start, stop):
+            yield np.random.Generator(np.random.PCG64((seed, i)))
+        return
+    for row in _seed_state_words(seed, start, stop - start):
         yield np.random.Generator(np.random.PCG64(_StateWords(row)))
 
 

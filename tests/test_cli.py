@@ -108,6 +108,19 @@ class TestAnalyze:
         assert rec["x"]["kind"] == "zero"
         assert rec["min_alpha"] == 0.0
 
+    @pytest.mark.parametrize("example,measure,code,kind", [
+        ("wclass:0,1,1,0", "c", 0, "zero"),  # an exactly vanishing pair value
+        ("e223", "ca", 2, "unbounded"),  # cut equal to the larger pair value
+    ])
+    def test_eps_zero_decisions_agree(self, capsys, example, measure, code, kind):
+        got, out, _ = run_cli(["analyze", "--example", example, "--measure", measure,
+                               "--eps", "0"], capsys)
+        assert got == code
+        rec = json.loads(out)
+        assert rec["x"]["kind"] == kind
+        assert rec["non_monogamy_witness"] == (kind == "unbounded")
+        assert rec["min_alpha"] == (0.0 if kind == "zero" else None)
+
 
 class TestInlineExamples:
     def test_wclass_normalized(self):
@@ -157,6 +170,15 @@ class TestSweep:
         rec = json.loads((tmp_path / "sweep_report.json").read_text())
         assert rec["family"] == "w_class"
         assert rec["certified_alpha"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_unbounded_gives_no_certificate(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--dims", "2,2,2", "--measure", "ca", "--family", "schmidt",
+             "--samples", "600", "--seed", "11", "--eps", "1e-5", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert " unbounded=21 " in out
+        assert out.endswith("no certificate: unbounded solutions found\n")
+        assert json.loads((tmp_path / "sweep_report.json").read_text())["certified_alpha"] is None
 
     def test_bad_dims(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -245,9 +267,10 @@ class TestRejectedInputs:
         ["analyze", "--example", "afs", "--measure", "ec-lookup", "--alpha", "2000"],
         ["certify", "--example", "afs", "--measure", "ec-lookup", "--mode", "relaxed",
          "--c", "1.0000000000001"],
+        ["analyze", "--example", "afs", "--measure", "ec-lookup", "--y", "2000"],
     ])
     def test_residual_overflow(self, capsys, argv):
-        # log2(3)^alpha leaves the float range: an error, not a traceback or inf
+        # log2(3)^alpha or log2(3)^y leaves the float range: an error, not a traceback or inf
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert err.startswith("error:") and "overflows" in err

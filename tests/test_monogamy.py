@@ -216,6 +216,7 @@ class TestMinAlpha:
         st.floats(0.0, 1.0),
         st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 0.5),
     )
+    @example(cut=1.0, f1=0.99999, f2=0.99 / 0.99999, tol=1e-6)  # no witness, no root below 64
     @settings(max_examples=400, deadline=None)
     def test_matches_scipy_bisect(self, cut, f1, f2, tol):
         from scipy.optimize import bisect
@@ -270,6 +271,18 @@ class TestWitness:
 
     def test_strict_gap_is_not_witness(self):
         assert not is_theorem2_witness(triple(1.2, 1, 0.5))
+
+    @pytest.mark.parametrize("t,kind,alpha", [
+        ((1, 1, 0), XKind.ZERO, 0.0),
+        ((1, 0.5, 0), XKind.ZERO, 0.0),
+        ((1, 1, 0.5), XKind.UNBOUNDED, math.inf),
+    ])
+    def test_eps_zero_decisions_agree(self, t, kind, alpha):
+        # x, the witness flag and min_alpha decide by one rule, also at eps = 0
+        t = triple(*t)
+        assert solve_x(t, 2.0, 0.0).kind is kind
+        assert is_theorem2_witness(t, 0.0) is (kind is XKind.UNBOUNDED)
+        assert min_alpha(t, eps=0.0) == alpha
 
 
 @pytest.mark.parametrize("decide", [
@@ -416,10 +429,11 @@ def _per_sample_rule(cut, hi, lo, y, eps):
     as arrays; a gap of exactly 0 at eps = 0, which it divided by, now counts
     as vanished."""
     cut, hi, lo = float(cut), float(hi), float(lo)
+    pw = lambda v: float((np.array([v]) ** y)[0])  # numpy's array power, as _classify takes it
     if cut < hi - eps:  # a violation: the negative gap counts as vanished
-        return (XKind.ZERO, 0.0) if lo ** y < eps else (XKind.UNBOUNDED, math.inf)
-    gap = cut ** y - hi ** y
-    m = lo ** y
+        return (XKind.ZERO, 0.0) if pw(lo) < eps else (XKind.UNBOUNDED, math.inf)
+    gap = pw(cut) - pw(hi)
+    m = pw(lo)
     if m < eps:
         return XKind.ZERO, 0.0
     if gap < eps or gap == 0.0:
