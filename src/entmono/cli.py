@@ -56,14 +56,10 @@ def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     entanglement-cost lookup and is the only state that may exceed qubit
     dims on A.
     """
-    if name == "ghz":
-        return "ghz", states.ghz()
-    if name == "w":
-        return "w", states.w_state()
-    if name == "e223":
-        return "e223", states.example_223()
-    if name == "afs":
-        return "afs", states.antisymmetric_qutrit()
+    make = {"ghz": states.ghz, "w": states.w_state, "e223": states.example_223,
+            "afs": states.antisymmetric_qutrit}.get(name)
+    if make is not None:
+        return name, make()
     if name.startswith("wclass:"):
         b = np.array(_parse_reals(name[7:], 4, "wclass"), dtype=complex)
         nrm = np.linalg.norm(b)
@@ -138,11 +134,15 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     mid = MeasureId.from_string(args.measure)
     family = {"w": "w_class", "haar": "haar", "schmidt": "schmidt"}.get(args.family, args.family)
+    try:  # --dims is the one place dims arrive as text
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        raise states.StateError(
+            f"dims must be three positive integers, got {args.dims.split(',')!r}") from None
     made = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)  # before sampling: a bad --out fails fast
     try:
-        report = monogamy.sweep(args.dims.split(","), mid, args.y, args.samples, args.seed,
-                                family=family, eps=args.eps)
+        report = monogamy.sweep(dims, mid, args.y, args.samples, args.seed, family=family, eps=args.eps)
     except BaseException:
         if made:  # leave no empty directory behind a rejected sweep
             os.rmdir(args.out)

@@ -108,18 +108,13 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # block with the pair's basis as rows.  The pure A|BC cut has spectrum
 # (C, 0).  Each measure maps the spectra: C = s1 - s2, C_a = s1 + s2
 # (Laustsen-Verstraete-van Enk), E_F and S(rho_A) via
-# formation_of_concurrence.  One stacked product L @ MID @ R gives the cut
-# slot, rho_A = M 1 M^H (M the 2x4 block of A against BC, so tr(a^H a) is
-# Tr rho_A^2), and both pair slots; L and R index the amplitudes followed
-# by their conjugates.  The arithmetic runs in clongdouble, which removes
-# the cancellation error that otherwise dominates x-values with a tiny gap.
+# formation_of_concurrence.  The blocks are reshapes of the amplitude
+# tensor: M = t.reshape(2, 4) is A against BC, and its cut slot is rho_A =
+# M M^H, so tr(a^H a) is Tr rho_A^2; psi_AB = t.reshape(4, 2) and psi_AC =
+# t.swapaxes(b, c).reshape(4, 2) give the pair slots.  The arithmetic runs
+# in clongdouble, which removes the cancellation error that otherwise
+# dominates x-values with a tiny gap.
 
-_AB = np.arange(8).reshape(4, 2)                                     # rows |ab>, columns c
-_AC = np.arange(8).reshape(2, 2, 2).transpose(0, 2, 1).reshape(4, 2)  # rows |ac>, columns b
-_A_BC = np.arange(8).reshape(2, 4)                                    # rows a, columns |bc>
-_OPERANDS = np.concatenate([np.stack([_A_BC, _AB.T, _AC.T]).reshape(3, 8),
-                            np.stack([8 + _A_BC.T, _AB, _AC]).reshape(3, 8)])
-_MIDDLE = np.stack([np.eye(4), _YY, _YY]).astype(np.clongdouble)
 # 0-d longdouble operands: numpy applies them faster than scalars
 _ZERO, _TWO, _FOUR = (np.array(v, dtype=np.longdouble) for v in (0, 2, 4))
 _PLUS_MINUS = np.array([1, -1], dtype=np.longdouble)
@@ -133,13 +128,14 @@ def spinflip_kernel(amps) -> np.ndarray:
     the concurrence of the A|BC cut, rows 1 and 2 are (s1, s2) of the AB
     and AC pairs, s1 >= s2.
     """
-    t = np.asarray(amps).reshape(-1, 8).astype(np.clongdouble)
-    tt = np.concatenate((t, t.conj()), axis=1)
+    t = np.asarray(amps).astype(np.clongdouble).reshape(-1, 2, 2, 2)
     # stored amplitudes carry a one-ulp normalization error; divide it out
     # so cut and pair values refer to exactly the same normalized vector
-    nsq = (tt[:, None, 8:] @ t[:, :, None]).real[:, 0]
-    ops = tt[:, _OPERANDS]
-    a = ops[:, :3].reshape(-1, 3, 2, 4) @ _MIDDLE @ ops[:, 3:].reshape(-1, 3, 4, 2)
+    nsq = (t.reshape(-1, 1, 8).conj() @ t.reshape(-1, 8, 1)).real[:, 0]
+    cut = t.reshape(-1, 2, 4)
+    psi = np.stack([t.reshape(-1, 4, 2), t.swapaxes(2, 3).reshape(-1, 4, 2)], axis=1)
+    a = np.concatenate([(cut @ cut.conj().swapaxes(-1, -2))[:, None],
+                        psi.swapaxes(-1, -2) @ _YY @ psi], axis=1)
     m = a.conj().swapaxes(-1, -2) @ a
     m00, m01, m10, m11 = m.reshape(-1, 3, 4).transpose(2, 0, 1)
     tr = (m00 + m11).real
@@ -334,10 +330,10 @@ def _assistant_search(psi) -> np.ndarray:
     psi has shape (N, 2, dP, 2), axes A, partner, assistant.  The objective
     is evaluated on the hemisphere grid; the best _STARTS points take up to
     _NEWTON_STEPS safeguarded ascent steps, each kept only if it raises the
-    objective, so the result is never below the grid maximum.  A search
-    stops on its own criterion and then leaves the working arrays, so the
-    steps run on live searches only and a state's value does not depend on
-    the rest of the batch.
+    objective, so the result is never below the grid maximum.  The searches
+    share one flat axis, and a search stops on its own criterion and then
+    leaves it, so the steps run on live searches only and a state's value
+    does not depend on the rest of the batch.
     """
     if psi.shape[2] > 4:  # the vectors psi[:, a, :, x] span at most 4 partner dims
         r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
@@ -352,14 +348,17 @@ def _assistant_search(psi) -> np.ndarray:
         top.append(k := grid.argmax(axis=1))
         best.append(grid[rows, k])
         grid[rows, k] = -np.inf
-    n, best = _GRID[:, np.stack(top, axis=1)], np.stack(best, axis=1)
+    # one flat axis of searches, state * _STARTS + start
+    n, best = _GRID[:, np.stack(top, axis=1).ravel(), None], np.stack(best, axis=1).reshape(-1, 1)
     radius = np.full(best.shape, _RADIUS)
-    # (N, _STARTS) searches until one stops, then a flat axis of live ones (state * _STARTS + start)
-    c, quad, lin, t = c0[:, None], quad0[..., None], lin0[..., None], t0
-    found, live = np.empty(best.size), np.arange(best.size)
+    found, live, own = np.empty(len(best)), np.arange(len(best)), None
     # outcomes with Q = 0 give infinite derivatives; such steps are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
+            if own is None:  # the live set changed: take its searches' forms
+                own = live // _STARTS
+                c, quad, lin = c0[own, None], quad0[..., own, None], lin0[..., own, None]
+                t = [x[:, own] for x in t0]
             step, length, gain = _ascent_step(n, c, quad, lin, radius)
             trial = n + step
             trial = trial / np.sqrt(_sum3(trial * trial))
@@ -368,18 +367,13 @@ def _assistant_search(psi) -> np.ndarray:
             n = np.where(up, trial, n)
             best = np.where(up, value, best)
             radius = np.where(up, 2.0 * radius, 0.25 * length)
+            found[live] = best.ravel()
             going = (gain > _GAIN_TOL).ravel()
-            if not going.all():  # the searches that stop here are final: write out, drop
-                found[live] = best.ravel()
+            if not going.all():  # the searches that stop here are final: drop them
                 if not going.any():
                     break
-                live = live[going]
-                n = n.reshape(3, -1)[:, going, None]
-                best, radius = best.ravel()[going, None], radius.ravel()[going, None]
-                own = live // _STARTS
-                c, quad, lin = c0[own, None], quad0[..., own, None], lin0[..., own, None]
-                t = [x[:, own] for x in t0]
-    found[live] = best.ravel()
+                live, own = live[going], None
+                n, best, radius = n[:, going], best[going], radius[going]
     return found.reshape(-1, _STARTS).max(axis=1)
 
 

@@ -100,12 +100,12 @@ class SchmidtParams:
 
 
 def _check_dims(dims):
-    """(dA, dB, dC) as ints, from integers or decimal strings (not bools or floats)."""
+    """(dA, dB, dC) as ints, from integers (not bools, floats or strings)."""
     try:
-        if any(isinstance(d, bool) or not isinstance(d, (str, numbers.Integral)) for d in dims):
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral) for d in dims):
             raise TypeError
         dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
+    except TypeError:
         raise StateError(f"dims must be three positive integers, got {dims!r}") from None
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise StateError(f"dims must be three positive integers, got {dims}")

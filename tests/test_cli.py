@@ -253,8 +253,9 @@ class TestRejectedInputs:
         b'\xff\xfe{"dims": [2,2,2]' + _AMPS.encode(),
         b'{"dims": [2.5,2,2]' + _AMPS.encode(),
         b'{"dims": [true,2,4]' + _AMPS.encode(),
+        b'{"dims": ["2","2","2"]' + _AMPS.encode(),
         b'{"dims": ' + b'[' * 100_000 + b']' * 100_000 + b'}',
-    ], ids=["nan", "not-utf8", "dim-2.5", "dim-true", "deep"])
+    ], ids=["nan", "not-utf8", "dim-2.5", "dim-true", "dim-str", "deep"])
     def test_bad_state_file(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.json"
         p.write_bytes(doc)

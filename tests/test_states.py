@@ -82,7 +82,8 @@ class TestPureStateNew:
         with pytest.raises(StateError):
             pure_state_new((0, 2, 2), np.zeros(0))
 
-    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2.0, 2, 2), (True, 2, 4), (2, np.float64(2), 2)])
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2.0, 2, 2), (True, 2, 4), (2, np.float64(2), 2),
+                                      ("2", "2", "2")])
     def test_non_integer_dims_rejected(self, dims):
         with pytest.raises(StateError, match="positive integers"):
             pure_state_new(dims, np.eye(8)[0])
