@@ -7,6 +7,7 @@ kernels are the standard spin-flip spectral closed forms.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +18,7 @@ from .states import reduced_density  # a module attribute here: bench/tracing.py
 
 LOG2_3 = math.log2(3.0)
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_TINY = np.finfo(float).tiny
 
 
 class MeasureError(ValueError):
@@ -100,75 +100,48 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
     return MeasureTriple(LOG2_3, 1.0, 1.0, MeasureId.ENTANGLEMENT_COST_LOOKUP)
 
 
-# --- the three-qubit spin-flip kernel ---------------------------------------
+# --- the triple kernels: the cut, the spin-flip pairs, the searched pairs ---
 #
-# For a three-qubit pure state each reduced pair has rank <= 2, and its
-# nonzero spin-flip sqrt-spectrum (s1 >= s2) is the pair of singular values
-# of the 2x2 complex symmetric a = psi^T (Y x Y) psi, psi the 4x2 amplitude
-# block with the pair's basis as rows.  The pure A|BC cut has spectrum
-# (C, 0).  Each measure maps the spectra: C = s1 - s2, C_a = s1 + s2
-# (Laustsen-Verstraete-van Enk), E_F and S(rho_A) via
-# formation_of_concurrence.  The blocks are reshapes of the amplitude
-# tensor: M = t.reshape(2, 4) is A against BC, and its cut slot is rho_A =
-# M M^H, so tr(a^H a) is Tr rho_A^2; psi_AB = t.reshape(4, 2) and psi_AC =
-# t.swapaxes(b, c).reshape(4, 2) give the pair slots.  The arithmetic runs
-# in clongdouble, which removes the cancellation error that otherwise
-# dominates x-values with a tiny gap.
-
-# 0-d longdouble operands: numpy applies them faster than scalars
-_ZERO, _TWO, _FOUR = (np.array(v, dtype=np.longdouble) for v in (0, 2, 4))
-_PLUS_MINUS = np.array([1, -1], dtype=np.longdouble)
-
-
-def spinflip_kernel(amps) -> np.ndarray:
-    """Spin-flip spectra of the A|BC cut and the AB, AC pairs of pure states.
-
-    ``amps`` holds N three-qubit states' amplitudes, shape (N, 8) or
-    (N, 2, 2, 2).  Returns a float array (N, 3, 2): row 0 is (C, 0) with C
-    the concurrence of the A|BC cut, rows 1 and 2 are (s1, s2) of the AB
-    and AC pairs, s1 >= s2.
-    """
-    t = np.asarray(amps).astype(np.clongdouble).reshape(-1, 2, 2, 2)
-    # stored amplitudes carry a one-ulp normalization error; divide it out
-    # so cut and pair values refer to exactly the same normalized vector
-    nsq = (t.reshape(-1, 1, 8).conj() @ t.reshape(-1, 8, 1)).real[:, 0]
-    cut = t.reshape(-1, 2, 4)
-    psi = np.stack([t.reshape(-1, 4, 2), t.swapaxes(2, 3).reshape(-1, 4, 2)], axis=1)
-    a = np.concatenate([(cut @ cut.conj().swapaxes(-1, -2))[:, None],
-                        psi.swapaxes(-1, -2) @ _YY @ psi], axis=1)
-    m = a.conj().swapaxes(-1, -2) @ a
-    m00, m01, m10, m11 = m.reshape(-1, 3, 4).transpose(2, 0, 1)
-    tr = (m00 + m11).real
-    det = (m00 * m11 - m01 * m10).real
-    out = np.zeros((len(t), 3, 2), dtype=np.longdouble)
-    nn = nsq[:, 0] * nsq[:, 0]
-    np.sqrt(np.maximum(_TWO * (nn - tr[:, 0]) / nn, _ZERO), out=out[:, 0, 0])
-    tr_pair = tr[:, 1:]
-    disc = np.sqrt(np.maximum(_ZERO, tr_pair * tr_pair - _FOUR * det[:, 1:]))
-    s = np.sqrt(np.maximum((tr_pair[..., None] + disc[..., None] * _PLUS_MINUS) / _TWO, _ZERO))
-    np.divide(s, nsq[..., None], out=out[:, 1:])
-    return out.astype(float)
-
-
-# --- the cut for any d_A, and qubit A beyond three qubits: the ca triple ----
+# A triple is the A|BC cut and one value per pair.  With M the dA x (dB dC)
+# block of A against BC, rho_A = M M^H, and by Cauchy-Binet
+# 2 (1 - Tr rho_A^2) = 4 sum |M_ij M_kl - M_il M_kj|^2 over row pairs i < k
+# and column pairs j < l (4 det rho_A for qubit A): a sum of non-negative
+# terms, which does not cancel on near-product cuts.
 #
-# With M the dA x (dB dC) block of A against BC, rho_A = M M^H, and by
-# Cauchy-Binet 2 (1 - Tr rho_A^2) = 4 sum |M_ij M_kl - M_il M_kj|^2 over row
-# pairs i < k and column pairs j < l (4 det rho_A for qubit A): a sum of
-# non-negative terms, which does not cancel on near-product cuts.  With
-# d_A = 2, a pair with a qubit partner keeps the two-qubit closed form, the
-# sum of _spinflip_values of its 4 x d amplitude block.  A pair with a qubit
-# assistant X is searched.  Measuring X along Bloch direction n leaves A
-# with the subnormalized marginal M(n) = Tr_X[rho_AX (1 x P(n))], P(n) =
-# (1 + n.sigma) / 2, which is affine in n.  So det M(n) is a quadratic
-# Q(n) = c + n.A n + 2 b.n, and the projective measurement {n, -n} gives
-# the average concurrence 2 sqrt(Q(n)) + 2 sqrt(Q(-n)).  Its maximum over
-# the sphere is the projective lower bound on C_a; concavity of sqrt(det)
-# bounds C_a above by the cut.  The quadratic form gives the search its
-# derivatives, but its value cancels where Q is small, so values are sums
-# of squared minors of the conditional amplitudes (Cauchy-Binet again).
-# Everything runs elementwise or per matrix, so one state and a batch agree
-# bit for bit, and the Newton steps can run on the live searches only.
+# A pair with a qubit partner takes the two-qubit closed form.  With psi its
+# 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
+# rho = psi psi^H is the set of singular values of the complex symmetric
+# a = psi^T (Y x Y) psi (Takagi route).  Each measure maps it: C = s1 - s2,
+# C_a = the sum (Laustsen-Verstraete-van Enk), E_F and S(rho_A) via
+# formation_of_concurrence.  On three qubits a is 2 x 2, and its singular
+# values come in float64 from the QR of its larger column first, as in
+# LAPACK's dlas2 (Demmel-Kahan 1990): f = the larger column norm, and
+# g = |col1^H col2| / f, h = |det a| / f are the moduli of the triangle
+# [[f, g], [0, h]], h <= f.  a is symmetric, so neither g nor h depends on
+# which column comes first.  With c = 2 / (sqrt((1 + h/f)^2 + (g/f)^2) +
+# sqrt((1 - h/f)^2 + (g/f)^2)), s1 = f / c and s2 = h c, each to a few ulps
+# of s1, so neither C nor C_a cancels near product, GHZ or W states.  h/f
+# is clipped at 1, where rounding can push it past, so that s2 <= s1.
+# Wider blocks (a qubit-qudit pair) take an SVD.
+#
+# A pair with a qubit assistant X is searched.  Measuring X along Bloch
+# direction n leaves A with the subnormalized marginal M(n) = Tr_X[rho_AX
+# (1 x P(n))], P(n) = (1 + n.sigma) / 2, which is affine in n.  So det M(n)
+# is a quadratic Q(n) = c + n.A n + 2 b.n, and the projective measurement
+# {n, -n} gives the average concurrence 2 sqrt(Q(n)) + 2 sqrt(Q(-n)).  Its
+# maximum over the sphere is the projective lower bound on C_a; concavity
+# of sqrt(det) bounds C_a above by the cut.  The quadratic form gives the
+# search its derivatives, but its value cancels where Q is small, so values
+# are sums of squared minors of the conditional amplitudes (Cauchy-Binet
+# again).  Everything runs elementwise or per matrix, so one state and a
+# batch agree bit for bit, and the Newton steps can run on the live
+# searches only.
+
+
+@functools.lru_cache(maxsize=None)
+def _index_pairs(n):
+    """np.triu_indices(n, 1): the pairs i < k of n indices (shared, do not write)."""
+    return np.triu_indices(n, 1)
 
 
 def _cut_concurrence(m) -> np.ndarray:
@@ -177,7 +150,7 @@ def _cut_concurrence(m) -> np.ndarray:
     The sum runs per row pair over the column pairs, then over the row
     pairs, so for qubit A the one row pair adds nothing to the arithmetic.
     """
-    i, k = np.triu_indices(m.shape[1], 1)
+    i, k = _index_pairs(m.shape[1])
     top, bottom = m[:, i], m[:, k]
     acc = np.zeros((len(m), len(i)))
     for j in range(m.shape[2] - 1):
@@ -187,14 +160,30 @@ def _cut_concurrence(m) -> np.ndarray:
 
 
 def _spinflip_values(psi) -> np.ndarray:
-    """Singular values of psi^T (Y x Y) psi for (N, 4, d) blocks with rows |ab>.
+    """Descending singular values of psi^T (Y x Y) psi for (..., 4, d) blocks with rows |ab>.
 
     They are the nonzero sqrt-eigenvalues of rho * rho_tilde for the
-    two-qubit rho = psi psi^H (Takagi route).
+    two-qubit rho = psi psi^H.  d = 2 takes the closed form above, and a
+    zero block gives (0, 0); wider blocks take an SVD.
     """
-    r00, r01, r10, r11 = (psi[:, k, :, None] for k in range(4))
-    c00, c01, c10, c11 = (psi[:, k, None, :] for k in range(4))
-    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
+    if psi.shape[-1] != 2:
+        r00, r01, r10, r11 = (psi[..., k, :, None] for k in range(4))
+        c00, c01, c10, c11 = (psi[..., k, None, :] for k in range(4))
+        return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
+    # (Y x Y) psi reverses the rows with signs (-, +, +, -)
+    diag = 2.0 * (psi[..., 1, :] * psi[..., 2, :] - psi[..., 0, :] * psi[..., 3, :])
+    a00, a11 = diag[..., 0], diag[..., 1]
+    q = psi[..., 0] * psi[..., ::-1, 1]
+    a01 = (q[..., 1] + q[..., 2]) - (q[..., 0] + q[..., 3])
+    sq = diag.real * diag.real + diag.imag * diag.imag
+    ff = np.maximum(sq[..., 0], sq[..., 1]) + (a01.real * a01.real + a01.imag * a01.imag)
+    ffs = np.maximum(ff, _TINY)  # f^2, or a positive stand-in where the block is zero
+    u = np.minimum(np.abs(a00 * a11 - a01 * a01) / ffs, 1.0)  # h / f
+    v = np.abs(a00.conj() * a01 + a01.conj() * a11) / ffs      # g / f
+    vv = v * v
+    c = 2.0 / (np.sqrt((1.0 + u) * (1.0 + u) + vv) + np.sqrt((1.0 - u) * (1.0 - u) + vv))
+    f = np.sqrt(ff)
+    return np.stack([f / c, u * f * c], axis=-1)
 
 
 def _sum3(p):
@@ -264,7 +253,7 @@ def _minor_form(psi):
     pairs j < l are t0 b0^2 + t1 b0 b1 + t2 b1^2.  By Cauchy-Binet det M is
     the sum of their squared moduli, which does not cancel.
     """
-    j, l = np.triu_indices(psi.shape[2], 1)
+    j, l = _index_pairs(psi.shape[2])
 
     def minor(x, y):
         return (psi[:, 0, j, x] * psi[:, 1, l, y] - psi[:, 0, l, x] * psi[:, 1, j, y]).T[..., None]
@@ -377,14 +366,6 @@ def _assistant_search(psi) -> np.ndarray:
     return found.reshape(-1, _STARTS).max(axis=1)
 
 
-def _pair_assistance(t, partner) -> np.ndarray:
-    """C_a of the pair A-partner for qubit-A states t of shape (N, 2, dB, dC)."""
-    psi = t if partner == "B" else t.swapaxes(2, 3)  # axes A, partner, the third party
-    if psi.shape[2] == 2:
-        return _spinflip_values(psi.reshape(len(psi), 4, -1)).sum(axis=1)
-    return _assistant_search(psi)
-
-
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
     """C_a(rho_{A,partner}) by search over projective measurements of the assistant.
 
@@ -445,18 +426,26 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
 def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     """(N, 3) triples of N states given as unit-norm amplitude rows.
 
-    Three-qubit rows go through the spin-flip kernel, and each measure maps
-    its spectra; qubit-A ca rows through the Cauchy-Binet cut and one pair
-    call per partner.
+    The cut is the Cauchy-Binet sum, a pair with a qubit partner maps its
+    spin-flip values (s1 >= s2, so C >= 0), and a pair with a qubit
+    assistant is searched; eof maps the concurrences.
     """
     dims = tuple(dims)
     _check_triple(dims, mid)
-    if dims == (2, 2, 2):
-        spectra = spinflip_kernel(amps)
-        if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
-            return spectra[..., 0] + spectra[..., 1]
-        c = spectra[..., 0] - spectra[..., 1]  # s1 >= s2, so C >= 0
-        return formation_of_concurrence(c) if mid is MeasureId.EOF else c
     t = np.asarray(amps).reshape((-1,) + dims)
-    return np.stack([_cut_concurrence(t.reshape(len(t), 2, -1)),
-                     _pair_assistance(t, "B"), _pair_assistance(t, "C")], axis=1)
+    n = len(t)
+    blocks = {1: t, 2: t.swapaxes(2, 3)}  # pairs AB and AC: axes A, partner, the third party
+    triples = np.empty((n, 3))
+    triples[:, 0] = _cut_concurrence(t.reshape(n, 2, -1))
+    flip = [k for k in blocks if dims[k] == 2]  # the pairs with a qubit partner, in one call
+    s = _spinflip_values(np.stack([blocks[k] for k in flip], axis=1).reshape(n, len(flip), 4, -1))
+    ca = mid is MeasureId.CONCURRENCE_OF_ASSISTANCE
+    triples[:, flip] = s.sum(axis=2) if ca else s[..., 0] - s[..., 1]
+    for k in blocks.keys() - flip:  # a qubit assistant: only ca gets here (_check_triple)
+        triples[:, k] = _assistant_search(blocks[k])
+    if dims == (2, 2, 2):
+        # stored amplitudes carry a one-ulp normalization error; divide it out
+        # so that every value refers to exactly the same normalized vector
+        flat = t.reshape(n, -1)
+        triples /= (flat.real * flat.real + flat.imag * flat.imag).sum(axis=1)[:, None]
+    return formation_of_concurrence(triples) if mid is MeasureId.EOF else triples

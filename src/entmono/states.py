@@ -250,7 +250,9 @@ def _check_family(dims, family):
 def family_rows(dims, family, rngs) -> np.ndarray:
     """Unit amplitude rows of random states of a family, one per Generator.
 
-    Each row draws from its own Generator of ``rngs``: haar takes 2 dA dB dC
+    ``rngs`` is a sized iterable of Generators, such as a list or an
+    ``index_streams`` block; the rows are drawn into one preallocated
+    array.  Each row draws from its own Generator: haar takes 2 dA dB dC
     normals (real parts, then imaginary parts); w_class takes 8 normals,
     the real then imaginary parts of b0..b3; schmidt takes 5 normals, whose
     absolute values are l0..l4, then a uniform phase phi.  The coefficients
@@ -261,10 +263,14 @@ def family_rows(dims, family, rngs) -> np.ndarray:
     _check_family(dims, family)
     total = dims[0] * dims[1] * dims[2]
     if family == "schmidt":
-        raw = np.array([np.append(rng.standard_normal(5), rng.uniform(0.0, 2.0 * math.pi))
-                        for rng in rngs])
+        raw = np.empty((len(rngs), 6))
+        for row, rng in zip(raw, rngs):
+            rng.standard_normal(out=row[:5])
+            row[5] = rng.uniform(0.0, 2.0 * math.pi)
         return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), raw[:, 5])
-    raw = np.array([rng.standard_normal(2 * total if family == "haar" else 8) for rng in rngs])
+    raw = np.empty((len(rngs), 2 * total if family == "haar" else 8))
+    for row, rng in zip(raw, rngs):
+        rng.standard_normal(out=row)
     if family == "haar":
         return unit_rows(raw[:, :total] + 1j * raw[:, total:])
     return _w_rows(unit_rows(raw[:, :4] + 1j * raw[:, 4:]))
@@ -361,20 +367,29 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.row
 
 
-def index_streams(seed, start, stop):
-    """Yield Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
+class index_streams:
+    """Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
 
     The streams are numpy's bit for bit, and each Generator is its own.
-    seed and indices are non-negative ints; a block that reaches 2**32
-    takes numpy's own SeedSequence for each index.
+    Like range, the block has a length and makes each stream as it is
+    iterated, so a caller can size its output first while only one
+    Generator is alive (holding a chunk's Generators at once sets off the
+    garbage collector).  seed and indices are non-negative ints; a block
+    that reaches 2**32 takes numpy's own SeedSequence for each index.
     """
-    seed, start, stop = int(seed), int(start), int(stop)
-    if stop > 1 << 32:
-        for i in range(start, stop):
-            yield np.random.Generator(np.random.PCG64((seed, i)))
-        return
-    for row in _seed_state_words(seed, start, stop - start):
-        yield np.random.Generator(np.random.PCG64(_StateWords(row)))
+
+    def __init__(self, seed, start, stop):
+        self.seed, self.start, self.stop = int(seed), int(start), int(stop)
+
+    def __len__(self):
+        return self.stop - self.start
+
+    def __iter__(self):
+        if self.stop > 1 << 32:
+            return (np.random.Generator(np.random.PCG64((self.seed, i)))
+                    for i in range(self.start, self.stop))
+        return (np.random.Generator(np.random.PCG64(_StateWords(row)))
+                for row in _seed_state_words(self.seed, self.start, len(self)))
 
 
 _AXIS = {"A": 0, "B": 1, "C": 2}

@@ -1,6 +1,7 @@
 """References that tests hold the batch code to; no package path calls them.
 
-Mixed-state formulas on density matrices, and the dense assistant search.
+Mixed-state formulas on density matrices, the extended-precision three-qubit
+kernel, and the dense assistant search.
 """
 
 import numpy as np
@@ -8,6 +9,9 @@ import numpy as np
 from entmono import DensityMatrix, MeasureError, StateError
 from entmono import measures as m
 from entmono.measures import _spinflip_values, formation_of_concurrence
+
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 # Spectral values below this are numerical noise from exactly-zero
 # eigenvalues of rank-deficient products; sqrt would inflate them to ~1e-8.
@@ -101,3 +105,35 @@ def dense_assistant_search(psi) -> np.ndarray:
             if not active.any():
                 break
     return best.max(axis=1)
+
+
+def spinflip_kernel(amps) -> np.ndarray:
+    """Spin-flip spectra of the A|BC cut and the AB, AC pairs, in clongdouble.
+
+    The three-qubit kernel that measures used before its float64 closed
+    form.  ``amps`` has shape (N, 8) or (N, 2, 2, 2).  Returns (N, 3, 2):
+    row 0 is (C, 0) for the A|BC cut, rows 1 and 2 are (s1, s2) of the AB
+    and AC pairs, all divided by the squared norm.  The cut is the purity
+    form sqrt(2 (1 - Tr rho_A^2)) and the pair values come from the trace
+    and determinant of a^H a, so both cancel near product, GHZ and W
+    states (by about 1e-10 with an 80-bit long double, more where long
+    double is float64); on well-conditioned states it is exact.
+    """
+    t = np.asarray(amps).astype(np.clongdouble).reshape(-1, 2, 2, 2)
+    nsq = (t.reshape(-1, 1, 8).conj() @ t.reshape(-1, 8, 1)).real[:, 0]
+    cut = t.reshape(-1, 2, 4)
+    psi = np.stack([t.reshape(-1, 4, 2), t.swapaxes(2, 3).reshape(-1, 4, 2)], axis=1)
+    a = np.concatenate([(cut @ cut.conj().swapaxes(-1, -2))[:, None],
+                        psi.swapaxes(-1, -2) @ _YY @ psi], axis=1)
+    m = a.conj().swapaxes(-1, -2) @ a
+    m00, m01, m10, m11 = m.reshape(-1, 3, 4).transpose(2, 0, 1)
+    tr = (m00 + m11).real
+    det = (m00 * m11 - m01 * m10).real
+    out = np.zeros((len(t), 3, 2), dtype=np.longdouble)
+    nn = nsq[:, 0] * nsq[:, 0]
+    out[:, 0, 0] = np.sqrt(np.maximum(2 * (nn - tr[:, 0]) / nn, 0))
+    tr_pair = tr[:, 1:]
+    disc = np.sqrt(np.maximum(0, tr_pair * tr_pair - 4 * det[:, 1:]))
+    s = np.sqrt(np.maximum((tr_pair[..., None] + disc[..., None] * np.array([1, -1])) / 2, 0))
+    out[:, 1:] = s / nsq[..., None]
+    return out.astype(float)

@@ -25,16 +25,18 @@ from entmono import (
 )
 from entmono.measures import (
     LOG2_3,
-    _YY,
     _assistant_search,
+    _cut_concurrence,
     _measure_triples,
+    _spinflip_values,
     assisted_concurrence,
     binary_entropy,
-    spinflip_kernel,
+    formation_of_concurrence,
 )
 from entmono.states import family_rows, index_streams
-from reference import (concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
-                       spinflip_sqrt_spectrum, von_neumann_entropy, wootters_concurrence)
+from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
+                       spinflip_kernel, spinflip_sqrt_spectrum, von_neumann_entropy,
+                       wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -89,10 +91,10 @@ class TestPureCutPrecision:
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, math.log10(S2)))
     @settings(max_examples=300, deadline=None)
     def test_schmidt_222(self, seed, log_s2):
-        # only the public cut: the kernel's cut of measure_triple, a purity
-        # form, is off by up to about 1e-10 on near-product cuts
         state, cut = self._qubit_a((2, 2, 2), seed, log_s2)
         assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
+        t = measure_triple(state, MeasureId.CONCURRENCE)
+        assert abs(t.e_abc - cut) <= 1e-15
 
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, math.log10(S2)))
     @settings(max_examples=300, deadline=None)
@@ -367,14 +369,81 @@ class TestSpinFlipKernel:
                 assert np.allclose(single, reference_triples(state)[mid], rtol=0, atol=1e-12)
 
     def test_spectra_layout(self):
-        spectra = spinflip_kernel(np.array([w_state().amps, ghz().amps]))
-        assert spectra.shape == (2, 3, 2)
-        # W: cut (2 sqrt(2)/3, 0); each pair has s1 = 2/3 and s2 = 0
-        assert spectra[0] == pytest.approx(
-            np.array([[2 * math.sqrt(2) / 3, 0.0], [2 / 3, 0.0], [2 / 3, 0.0]]), abs=1e-15)
-        # GHZ: the pairs are separable with equal spectra (1/2, 1/2)
-        assert spectra[1] == pytest.approx(
-            np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
+        t = np.array([w_state().amps, ghz().amps]).reshape(2, 2, 2, 2)
+        spectra = np.stack([_spinflip_values(t.reshape(2, 4, 2)),
+                            _spinflip_values(t.swapaxes(2, 3).reshape(2, 4, 2))], axis=1)
+        assert spectra.shape == (2, 2, 2)
+        # W: cut 2 sqrt(2)/3; each pair has s1 = 2/3 and s2 = 0
+        assert _cut_concurrence(t.reshape(2, 2, 4)) == pytest.approx([2 * math.sqrt(2) / 3, 1.0],
+                                                                      abs=1e-15)
+        assert spectra[0] == pytest.approx(np.array([[2 / 3, 0.0], [2 / 3, 0.0]]), abs=1e-15)
+        # GHZ: the cut is 1, and the pairs are separable with equal spectra (1/2, 1/2)
+        assert spectra[1] == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
+
+
+# --- the float64 closed form on near-degenerate states ---------------------
+
+EPS = np.finfo(float).eps
+_LOG_COEF = st.floats(-14.0, 0.0)  # log10 of a coefficient before normalization
+
+
+class TestClosedFormKernel:
+    """The three-qubit triples against exact forms that need no extended precision."""
+
+    @given(st.lists(st.tuples(st.lists(_LOG_COEF, min_size=5, max_size=5), _PHASE),
+                    min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_schmidt_acin_forms(self, params):
+        # Acin et al., PRL 85, 1560 (2000): on l0|000> + l1 e^{i phi}|100> +
+        # l2|101> + l3|110> + l4|111>, C_AB = 2 l0 l3, C_AC = 2 l0 l2, the cut
+        # is 2 l0 sqrt(l2^2 + l3^2 + l4^2), and C_a^2 = C^2 + 4 l0^2 l4^2
+        lam = 10.0 ** np.array([p[0] for p in params])
+        amps = np.array([from_schmidt(SchmidtParams(tuple(row / np.linalg.norm(row)), phi)).amps
+                         for row, (_, phi) in zip(lam, params)])
+        l0, _, l2, l3, l4 = np.abs(amps[:, [0, 4, 5, 6, 7]]).T
+        cut = 2.0 * l0 * np.sqrt(l2 * l2 + l3 * l3 + l4 * l4)
+        c = np.stack([cut, 2.0 * l0 * l3, 2.0 * l0 * l2], axis=1)
+        ca = np.stack([cut, 2.0 * l0 * np.hypot(l3, l4), 2.0 * l0 * np.hypot(l2, l4)], axis=1)
+        for mid, exact in ((MeasureId.CONCURRENCE, c), (MeasureId.CONCURRENCE_OF_ASSISTANCE, ca)):
+            assert np.abs(_measure_triples((2, 2, 2), amps, mid) - exact).max() <= 8 * EPS
+
+    @given(st.lists(st.tuples(_LOG_COEF, _PHASE), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_w_class_ckw_equality(self, coefs):
+        # W-class states have zero three-tangle: C_A|BC^2 = C_AB^2 + C_AC^2
+        b = np.array([10.0 ** r * cmath.exp(1j * phi) for r, phi in coefs])
+        cut, ab, ac = measure_triple(w_class(*(b / np.linalg.norm(b))),
+                                     MeasureId.CONCURRENCE).as_tuple()
+        assert abs(cut * cut - ab * ab - ac * ac) <= 4 * EPS
+
+    def test_ghz_pairs_exactly_zero(self):
+        t = measure_triple(ghz(), MeasureId.CONCURRENCE)
+        assert t.e_ab == 0.0 and t.e_ac == 0.0
+        assert t.e_abc == pytest.approx(1.0, abs=EPS)
+        # with phases, |det a| / f^2 may round above 1; the pair values stay >= 0
+        phases = np.exp(2j * math.pi * np.random.default_rng(7).random((4000, 2)))
+        amps = np.zeros((4000, 8), dtype=complex)
+        amps[:, [0, 7]] = phases * S2
+        pairs = _measure_triples((2, 2, 2), amps, MeasureId.CONCURRENCE)[:, 1:]
+        assert pairs.min() >= 0.0 and pairs.max() <= 2 * EPS
+
+    def test_zero_block(self):
+        assert _spinflip_values(np.zeros((2, 4, 2), dtype=complex)).tolist() == [[0.0, 0.0]] * 2
+        product = pure_state_new((2, 2, 2), np.eye(8)[0])  # every pair block a is zero
+        for mid in (MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE, MeasureId.EOF):
+            assert measure_triple(product, mid).as_tuple() == (0.0, 0.0, 0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                        reason="the reference kernel needs a long double wider than float64")
+    def test_extended_precision_reference(self):
+        amps = family_rows((2, 2, 2), "haar", index_streams(5, 0, 512))
+        spectra = spinflip_kernel(amps)
+        c = spectra[..., 0] - spectra[..., 1]
+        expected = {MeasureId.CONCURRENCE: c,
+                    MeasureId.CONCURRENCE_OF_ASSISTANCE: spectra[..., 0] + spectra[..., 1],
+                    MeasureId.EOF: formation_of_concurrence(c)}
+        for mid, ref in expected.items():
+            assert np.abs(_measure_triples((2, 2, 2), amps, mid) - ref).max() <= 1e-15
 
 
 # --- the batched projective search against Nelder-Mead ----------------------
