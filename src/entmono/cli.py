@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
     mid = MeasureId.from_string(args.measure)
     t = _triple_for(descriptor, state, mid)
     sol = monogamy.solve_x(t, args.y, args.eps)
-    witness = monogamy.is_theorem2_witness(t, args.eps)
+    witness = sol.kind is monogamy.XKind.UNBOUNDED
     try:
         thm3 = {"alpha": monogamy.theorem3_alpha(t)}
     except monogamy.DomainError as exc:

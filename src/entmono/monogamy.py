@@ -55,9 +55,10 @@ class XKind(enum.Enum):
 
 @dataclass(frozen=True)
 class XSolution:
+    """The x-solution at exponent y; its kind is the same at every y > 0."""
     kind: XKind
     y: float
-    x: float = 0.0  # positive for FINITE, 0 for ZERO, inf for UNBOUNDED
+    x: float = 0.0  # positive for FINITE (0.0 if min^y underflows), 0 for ZERO, inf for UNBOUNDED
 
 
 class CertificateKind(enum.Enum):
@@ -103,23 +104,24 @@ _KINDS = (XKind.ZERO, XKind.FINITE, XKind.UNBOUNDED)
 def _classify(cut, hi, lo, y, eps):
     """The x-rule on 1-D arrays of (cut, max pair, min pair) values.
 
-    Returns (kind, x, violation): kind indexes _KINDS.  Zero when min^y is
-    below eps or min is 0 (this takes precedence when the gap vanishes too);
-    Unbounded when the gap cut^y - max^y is below eps or not positive, or
-    when the cut value lies below the larger pair value by more than eps (a
-    monotonicity violation, whose negative gap counts as vanished); else
-    Finite with x = min^y / gap.  y is a float or an array as long as the
-    values; a power that leaves the float range raises DomainError.
+    Returns (kind, x, violation): kind indexes _KINDS and is decided on the
+    unpowered values, so it is the same at every y > 0.  Zero when min is
+    below eps or 0 (this takes precedence when the gap vanishes too);
+    Unbounded when the gap cut - max is below eps or not positive, as it is
+    for a monotonicity violation (cut below max by more than eps); else
+    Finite with x = min^y / (cut^y - max^y).  y, a float or an array as
+    long as the values, only scales x: a Finite entry whose powered gap
+    leaves the float range or rounds to 0 raises DomainError.
     """
-    with np.errstate(over="ignore"):
+    violation = cut < hi - eps
+    zero = (lo < eps) | (lo == 0.0)
+    unbounded = ~zero & ((cut - hi < eps) | (cut - hi <= 0.0))
+    finite = ~(zero | unbounded)
+    with np.errstate(over="ignore", invalid="ignore"):
         m = lo ** y
         gap = cut ** y - hi ** y
-    if not np.isfinite(gap).all():
-        raise DomainError(f"cut^y or max^y overflows at y={np.max(y)}")
-    violation = cut < hi - eps
-    zero = (m < eps) | (lo == 0.0)
-    unbounded = ~zero & (violation | (gap < eps) | (gap <= 0.0))
-    finite = ~(zero | unbounded)
+    if not ((0.0 < gap) & (gap < math.inf))[finite].all():
+        raise DomainError(f"cut^y - max^y overflows or rounds to 0 at y={np.max(y)}")
     x = np.zeros(len(m))
     x[unbounded] = math.inf
     np.divide(m, gap, out=x, where=finite)
@@ -129,10 +131,10 @@ def _classify(cut, hi, lo, y, eps):
 def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
     """Classify the solution of the x-equation at exponent y.
 
-    Zero when the smaller pair value vanishes (this takes precedence when
-    the gap vanishes too); Finite(min^y / gap) when both the gap and the
-    smaller pair value are at least eps; Unbounded when the gap vanishes
-    but the smaller pair value does not.
+    The kind comes from the unpowered values by the rule of _classify, so
+    it is the same at every y: Zero when the smaller pair value is below
+    eps, Unbounded when cut - max is, else Finite; y only scales
+    x = min^y / (cut^y - max^y).
     """
     _check_positive("exponent y", y)
     _check_eps(eps)
@@ -198,18 +200,17 @@ def is_theorem2_witness(t: MeasureTriple, eps: float = DEFAULT_EPS) -> bool:
 def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
     """Smallest exponent at which the residual turns non-negative.
 
-    Returns 0.0 when x is zero at y = 1 (monogamous at every exponent),
-    math.inf when x is unbounded there (witness case) or the bracket fails,
-    else the root of the residual found by bisection on [tol, 64] to within
-    tol: the iteration of scipy.optimize.bisect, whose roots it returns bit
-    for bit.
+    Returns 0.0 when x is zero (monogamous at every exponent), math.inf when
+    x is unbounded (witness case) or the bracket fails, else the root found
+    by scipy.optimize.bisect's iteration on [tol, 64] to within tol, in the
+    residual of the triple over its cut value, 1 - u^a - v^a: it has the
+    residual's sign and does not underflow to a false 0.
     """
     _check_positive("tol", tol)
     kind = solve_x(t, 1.0, eps).kind
-    if kind is XKind.ZERO:
-        return 0.0
-    if kind is XKind.UNBOUNDED:
-        return math.inf
+    if kind is not XKind.FINITE:
+        return 0.0 if kind is XKind.ZERO else math.inf
+    t = MeasureTriple(1.0, t.e_ab / t.e_abc, t.e_ac / t.e_abc, t.measure_id)
     fa = residual(t, tol)
     if fa >= 0.0:
         return tol
@@ -235,17 +236,16 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
     """Rows (y, x(y)*y, y) over a grid of exponents.
 
     The minimum over y of max(z1, z2) approximates the best exponent
-    reachable from the x-equation for this triple; requires a finite x at
-    every grid point.
+    reachable from the x-equation for this triple; requires a finite x,
+    whose kind does not depend on y.
     """
     y = np.asarray(y_grid, dtype=float)
     for v in y.tolist():
         _check_positive("exponent y", v)
     cut, hi, lo = (np.full(len(y), v) for v in _split(t, DEFAULT_EPS))
     kind, x, _ = _classify(cut, hi, lo, y, DEFAULT_EPS)
-    for k, v in zip(kind.tolist(), y.tolist()):
-        if k != 1:
-            raise DomainError(f"x is {_KINDS[k].value} at y={v}; curve undefined")
+    if len(y) and kind[0] != 1:
+        raise DomainError(f"x is {_KINDS[kind[0]].value}; curve undefined")
     return list(zip(y.tolist(), (x * y).tolist(), y.tolist()))
 
 

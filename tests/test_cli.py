@@ -121,6 +121,32 @@ class TestAnalyze:
         assert rec["non_monogamy_witness"] == (kind == "unbounded")
         assert rec["min_alpha"] == (0.0 if kind == "zero" else None)
 
+    @pytest.mark.parametrize("example,measure,y,code,kind", [
+        ("e223", "ca", "400", 2, "unbounded"),  # min^400 below eps once read as zero
+        ("w", "c", "1e-9", 0, "finite"),  # cut^y - max^y below eps once read as unbounded
+    ])
+    def test_kind_does_not_depend_on_y(self, capsys, example, measure, y, code, kind):
+        got, out, _ = run_cli(["analyze", "--example", example, "--measure", measure,
+                               "--y", y], capsys)
+        assert got == code
+        rec = json.loads(out)
+        assert rec["x"]["kind"] == kind
+        assert rec["non_monogamy_witness"] == (kind == "unbounded")
+        if kind == "finite":
+            # x ~ 1 / (y log(cut / max)) with cut / max = sqrt(2)
+            assert rec["x"]["value"] == pytest.approx(1e9 / math.log(math.sqrt(2)), rel=1e-6)
+            assert rec["min_alpha"] == pytest.approx(2.0, abs=1e-6)
+
+    def test_kind_decided_twice(self, capsys, monkeypatch):
+        # by solve_x, and by min_alpha at y = 1; the witness flag is solve_x's kind
+        from entmono import monogamy
+
+        calls = []
+        classify = monogamy._classify
+        monkeypatch.setattr(monogamy, "_classify", lambda *a: calls.append(a) or classify(*a))
+        assert run_cli(["analyze", "--example", "e223", "--measure", "ca"], capsys)[0] == 2
+        assert len(calls) == 2
+
 
 class TestInlineExamples:
     def test_wclass_normalized(self):
@@ -176,7 +202,7 @@ class TestSweep:
             ["sweep", "--dims", "2,2,2", "--measure", "ca", "--family", "schmidt",
              "--samples", "600", "--seed", "11", "--eps", "1e-5", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert " unbounded=21 " in out
+        assert " unbounded=13 " in out
         assert out.endswith("no certificate: unbounded solutions found\n")
         assert json.loads((tmp_path / "sweep_report.json").read_text())["certified_alpha"] is None
 

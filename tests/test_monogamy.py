@@ -74,6 +74,12 @@ class TestSolveX:
         with pytest.raises(MonotonicityError):
             solve_x(triple(0.5, 0.9, 0.1), 2.0)
 
+    def test_powered_gap_rounding_to_zero_rejected(self):
+        # finite by a gap of one ulp at eps 0, but cut^y and max^y round to
+        # the same float at y = 1e-3: an error, not a guessed kind or x
+        with pytest.raises(DomainError, match="rounds to 0"):
+            solve_x(triple(1.0, 1 - 2**-52, 0.5), 1e-3, 0.0)
+
     def test_bad_y(self):
         with pytest.raises(DomainError):
             solve_x(triple(1, 0.5, 0.5), 0.0)
@@ -224,7 +230,9 @@ class TestMinAlpha:
 
         t = triple(cut, cut * f1, cut * f1 * f2)
         got = min_alpha(t, tol)
-        f = lambda a: residual(t, a)
+        # min_alpha bisects the residual of the triple over its cut value
+        n = triple(1.0, t.e_ab / cut, t.e_ac / cut)
+        f = lambda a: residual(n, a)
         if min(t.e_ab, t.e_ac) < 1e-9 or abs(cut - max(t.e_ab, t.e_ac)) < 1e-9:
             assert got in (0.0, math.inf)
         elif f(tol) >= 0.0:
@@ -234,6 +242,16 @@ class TestMinAlpha:
         else:
             ref = bisect(f, tol, monogamy.ALPHA_MAX, xtol=tol, maxiter=monogamy.BISECT_MAXITER)
             assert got.hex() == float(ref).hex()
+
+    def test_tiny_triple_does_not_underflow(self):
+        # residual(t, 64) of this triple underflows to 0.0, which once read as
+        # a root at the bracket end; the scale-free residual keeps its sign
+        t = measure_triple(_sample_state((2, 2, 2), "schmidt", 11, 65), MeasureId.EOF)
+        assert t.e_abc == pytest.approx(7.4456e-6, rel=1e-4)
+        assert residual(t, monogamy.ALPHA_MAX) == 0.0
+        a = min_alpha(t)
+        assert a == 0.8254642820850462
+        assert residual(t, a - 1e-5) < 0.0 <= residual(t, a + 1e-5)
 
     def test_exact_zero_at_bracket_end(self, monkeypatch):
         monkeypatch.setattr(monogamy, "residual", lambda t, a: 0.0 if a == monogamy.ALPHA_MAX else -1.0)
@@ -426,20 +444,15 @@ class TestCertificates:
 
 
 def _per_sample_rule(cut, hi, lo, y, eps):
-    """The rule sweeps applied sample by sample before chunks were classified
-    as arrays; a gap of exactly 0 at eps = 0, which it divided by, now counts
-    as vanished."""
+    """The x-rule sample by sample: the kind from the unpowered values, as
+    at y = 1, and x from the powered ones."""
     cut, hi, lo = float(cut), float(hi), float(lo)
     pw = lambda v: float((np.array([v]) ** y)[0])  # numpy's array power, as _classify takes it
-    if cut < hi - eps:  # a violation: the negative gap counts as vanished
-        return (XKind.ZERO, 0.0) if pw(lo) < eps else (XKind.UNBOUNDED, math.inf)
-    gap = pw(cut) - pw(hi)
-    m = pw(lo)
-    if m < eps:
+    if lo < eps or lo == 0.0:
         return XKind.ZERO, 0.0
-    if gap < eps or gap == 0.0:
+    if cut - hi < eps or cut - hi <= 0.0:  # a violation's negative gap counts as vanished
         return XKind.UNBOUNDED, math.inf
-    return XKind.FINITE, m / gap
+    return XKind.FINITE, pw(lo) / (pw(cut) - pw(hi))
 
 
 class TestClassify:
@@ -459,6 +472,45 @@ class TestClassify:
                 assert violation[k] == (cut[k] < hi[k] - eps)
                 seen.add((ref[0], bool(violation[k])))
         assert seen == {(kind, v) for kind in XKind for v in (False, True)} - {(XKind.FINITE, True)}
+
+
+class TestKindIndependentOfY:
+    """The kind of x is decided on the unpowered values: cut^y = max^y iff
+    cut = max, so it is the same at every y > 0."""
+
+    @given(
+        st.floats(1e-6, 1.6),
+        st.floats(0.0, 1.0) | st.floats(1.0 - 1e-8, 1.0),
+        st.floats(0.0, 1.0) | st.floats(0.0, 1e-7),
+        st.floats(1e-3, 30.0),
+        st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    @example(cut=1.0, f1=1.0 - 5e-10, f2=0.5, y=0.5, eps=1e-9)  # gap below eps, gap^0.5 above
+    @example(cut=0.5, f1=0.5, f2=0.01, y=20.0, eps=1e-9)  # min^20 below eps, min above
+    @settings(max_examples=400, deadline=None)
+    def test_kind_is_the_kind_at_y_one(self, cut, f1, f2, y, eps):
+        t = triple(cut, cut * f1, cut * f1 * f2)
+        kind = solve_x(t, y, eps).kind
+        assert kind is solve_x(t, 1.0, eps).kind
+        assert is_theorem2_witness(t, eps) is (kind is XKind.UNBOUNDED)
+
+    def test_tiny_y_sweep_has_no_witness(self):
+        # concurrence is CKW-monogamous; at y = 1e-9 every powered gap is
+        # below eps, which once made most samples witnesses
+        r = sweep((2, 2, 2), MeasureId.CONCURRENCE, 1e-9, 2000, 3)
+        assert (r.zero_count, r.finite_count, r.unbounded_count) == (0, 2000, 0)
+        assert r.certified_alpha is not None
+
+    def test_large_y_sweep_has_no_zero(self, monkeypatch):
+        # at y = 20 most min^y fall below eps, which once counted them as zero
+        monkeypatch.setenv("MONO_THREADS", "1")
+        r = sweep((2, 2, 2), MeasureId.CONCURRENCE, 20.0, 20000, 3)
+        assert (r.zero_count, r.finite_count, r.unbounded_count) == (0, 20000, 0)
+
+    def test_beta_curves_finite_where_min_y_is_small(self):
+        # min^20 = 1e-40 lies below eps, yet x is finite at every y
+        rows = beta_curves(triple(1.0, 0.5, 0.01), [0.5, 20.0])
+        assert all(0.0 < z1 < math.inf for _, z1, _ in rows)
 
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "sweep_goldens.json").read_text())
@@ -483,16 +535,23 @@ class TestSweepGoldens:
     clongdouble kernel (purity-form cut, trace and determinant of a^H a)
     to the Cauchy-Binet cut and the float64 closed form, whose values lie
     within a few ulps of their exact ones; every count, violation and
-    witness index stayed.  (The w_class x, exactly 1, reads 1 + 5.3e-13:
-    the powered gap cut^2 - max^2 cancels.)  eof values come from the
-    spectral formula instead of eigenvalue and SVD routines, so their
-    largest x may move by up to 1e-14 relative; the float64 path moved
-    them by 3e-15, and they were not re-recorded.  The (2,2,3) ca values
-    come from the Cauchy-Binet cut, the closed-form qubit pair and the
-    batched projective search instead of the purity formula, eigh and
-    Nelder-Mead: its largest x moved by 5.1e-13 relative (the new cut and
-    AB values of that sample lie closer to their exact values), and it may
-    move by up to 1e-11.
+    witness index stayed.  (The w_class x, exactly 1, reads 1 + 5.3e-13 at
+    sample 183: in exact arithmetic its float64 triple, whose relative gap
+    is 3.2e-4, already gives 1 + 3.78e-13, and the powered gap cut^2 - max^2
+    adds the remaining 1.5e-13.)  eof values come from the spectral formula
+    instead of eigenvalue and SVD routines, so their largest x may move by
+    up to 1e-14 relative; the float64 path moved them by 3e-15, and they
+    were not re-recorded.  The (2,2,3) ca values come from the Cauchy-Binet
+    cut, the closed-form qubit pair and the batched projective search
+    instead of the purity formula, eigh and Nelder-Mead: its largest x
+    moved by 5.1e-13 relative (the new cut and AB values of that sample lie
+    closer to their exact values), and it may move by up to 1e-11.
+
+    When the kind of x came to be decided on the unpowered values, the
+    same at every y, five schmidt cases were re-recorded: the counts and
+    witnesses of ca eps 1e-09, eof eps 1e-09, eof eps 1e-05 and ca eps
+    1e-05 at y 2 and 0.5, and the largest x of ca eps 1e-05 at y 0.5.  The
+    two ca eps 1e-05 cases now share their 13 witnesses.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
