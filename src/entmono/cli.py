@@ -139,13 +139,17 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise states.StateError(
             f"dims must be three positive integers, got {args.dims.split(',')!r}") from None
-    made = not os.path.exists(args.out)
-    os.makedirs(args.out, exist_ok=True)  # before sampling: a bad --out fails fast
+    out = os.path.realpath(args.out)  # one physical path to make and, if rejected, to remove
+    made, level = [], out
+    while not os.path.exists(level):  # the levels makedirs creates, leaf first
+        made.append(level)
+        level = os.path.dirname(level)
+    os.makedirs(out, exist_ok=True)  # before sampling: a bad --out fails fast
     try:
         report = monogamy.sweep(dims, mid, args.y, args.samples, args.seed, family=family, eps=args.eps)
     except BaseException:
-        if made:  # leave no empty directory behind a rejected sweep
-            os.rmdir(args.out)
+        for level in made:  # leave no directory behind a rejected sweep
+            os.rmdir(level)
         raise
     report_path = os.path.join(args.out, "sweep_report.json")
     with open(report_path, "w") as fh:

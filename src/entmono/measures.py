@@ -86,7 +86,8 @@ def concurrence_pure_cut(state: PureTripartiteState) -> float:
     Evaluated by Cauchy-Binet as a sum of squared 2x2 minors (see
     _cut_concurrence), which does not cancel on near-product cuts.
     """
-    return float(_cut_concurrence(state.amps.reshape(1, state.dims[0], -1))[0])
+    m = state.amps.reshape(1, state.dims[0], -1)
+    return float(_cut_concurrence(m)[0] / _norm2(m)[0])
 
 
 def entanglement_cost_lookup(name: str) -> MeasureTriple:
@@ -106,7 +107,9 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # block of A against BC, rho_A = M M^H, and by Cauchy-Binet
 # 2 (1 - Tr rho_A^2) = 4 sum |M_ij M_kl - M_il M_kj|^2 over row pairs i < k
 # and column pairs j < l (4 det rho_A for qubit A): a sum of non-negative
-# terms, which does not cancel on near-product cuts.
+# terms, which does not cancel on near-product cuts.  Every value is of
+# degree 2 in psi and is divided by its row's ||psi||^2 (_norm2): it refers
+# to the normalized vector on every dims, alike alone or in a batch.
 #
 # A pair with a qubit partner takes the two-qubit closed form.  With psi its
 # 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
@@ -136,6 +139,11 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # again).  Everything runs elementwise or per matrix, so one state and a
 # batch agree bit for bit, and the Newton steps can run on the live
 # searches only.
+
+
+def _norm2(t) -> np.ndarray:
+    """||psi||^2 of each row of (N, ...) amplitudes."""
+    return (t.real * t.real + t.imag * t.imag).reshape(len(t), -1).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,7 +391,7 @@ def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
     if d_assist != 2:
         raise MeasureError(f"assistant {assistant} must be a qubit, has dim {d_assist}")
     t = state.tensor[None]
-    return float(_assistant_search(t if partner == "B" else t.swapaxes(2, 3))[0])
+    return float(_assistant_search(t if partner == "B" else t.swapaxes(2, 3))[0] / _norm2(t)[0])
 
 
 # --- triple assembly --------------------------------------------------------
@@ -424,7 +432,7 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
 
 
 def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
-    """(N, 3) triples of N states given as unit-norm amplitude rows.
+    """(N, 3) triples of N states given as amplitude rows, per unit ||psi||^2.
 
     The cut is the Cauchy-Binet sum, a pair with a qubit partner maps its
     spin-flip values (s1 >= s2, so C >= 0), and a pair with a qubit
@@ -443,9 +451,5 @@ def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     triples[:, flip] = s.sum(axis=2) if ca else s[..., 0] - s[..., 1]
     for k in blocks.keys() - flip:  # a qubit assistant: only ca gets here (_check_triple)
         triples[:, k] = _assistant_search(blocks[k])
-    if dims == (2, 2, 2):
-        # stored amplitudes carry a one-ulp normalization error; divide it out
-        # so that every value refers to exactly the same normalized vector
-        flat = t.reshape(n, -1)
-        triples /= (flat.real * flat.real + flat.imag * flat.imag).sum(axis=1)[:, None]
+    triples /= _norm2(t)[:, None]
     return formation_of_concurrence(triples) if mid is MeasureId.EOF else triples

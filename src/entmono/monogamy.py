@@ -76,18 +76,6 @@ class Certificate:
     residual_at_alpha: float | None = None
 
 
-def _split(t: MeasureTriple, eps: float | None = None):
-    """(cut, max pair, min pair) of a triple.
-
-    Given eps, this is the monotonicity guard: a cut value below the larger
-    pair value by more than eps raises MonotonicityError.
-    """
-    cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
-    if eps is not None and cut < hi - eps:
-        raise MonotonicityError(f"cut value {cut} below larger pair value {hi} beyond eps={eps}")
-    return cut, hi, lo
-
-
 def _check_positive(name, v):
     if not (math.isfinite(v) and v > 0):
         raise DomainError(f"{name} must be finite and positive, got {v}")
@@ -101,8 +89,8 @@ def _check_eps(eps):
 _KINDS = (XKind.ZERO, XKind.FINITE, XKind.UNBOUNDED)
 
 
-def _classify(cut, hi, lo, y, eps):
-    """The x-rule on 1-D arrays of (cut, max pair, min pair) values.
+def _classify(triples, y, eps):
+    """The x-rule on (N, 3) rows (cut, e_ab, e_ac), with max and min the pair values.
 
     Returns (kind, x, violation): kind indexes _KINDS and is decided on the
     unpowered values, so it is the same at every y > 0.  Zero when min is
@@ -113,6 +101,8 @@ def _classify(cut, hi, lo, y, eps):
     long as the values, only scales x: a Finite entry whose powered gap
     leaves the float range or rounds to 0 raises DomainError.
     """
+    cut, ab, ac = triples.T
+    hi, lo = np.maximum(ab, ac), np.minimum(ab, ac)
     violation = cut < hi - eps
     zero = (lo < eps) | (lo == 0.0)
     unbounded = ~zero & ((cut - hi < eps) | (cut - hi <= 0.0))
@@ -134,12 +124,15 @@ def solve_x(t: MeasureTriple, y: float, eps: float = DEFAULT_EPS) -> XSolution:
     The kind comes from the unpowered values by the rule of _classify, so
     it is the same at every y: Zero when the smaller pair value is below
     eps, Unbounded when cut - max is, else Finite; y only scales
-    x = min^y / (cut^y - max^y).
+    x = min^y / (cut^y - max^y).  This is the one-row call of _classify; a
+    cut below max by more than eps raises MonotonicityError.
     """
     _check_positive("exponent y", y)
     _check_eps(eps)
-    cut, hi, lo = _split(t, eps)
-    kind, x, _ = _classify(np.array([cut]), np.array([hi]), np.array([lo]), y, eps)
+    kind, x, violation = _classify(np.array([t.as_tuple()]), y, eps)
+    if violation[0]:
+        raise MonotonicityError(f"cut value {t.e_abc} below larger pair value "
+                                f"{max(t.e_ab, t.e_ac)} beyond eps={eps}")
     return XSolution(_KINDS[kind[0]], y, float(x[0]))
 
 
@@ -167,7 +160,7 @@ def alpha_from_bound(m_bound: float, y0: float) -> float:
 
 def per_state_base(t: MeasureTriple) -> float:
     """The ratio b = E(A|BC) / max(E(AB), E(AC)) used by the per-state exponent."""
-    cut, hi, lo = _split(t)
+    cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
     if lo <= 0 or cut <= hi:
         raise DomainError(
             "per-state exponent needs a strict gap and positive smaller pair value "
@@ -242,10 +235,10 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
     y = np.asarray(y_grid, dtype=float)
     for v in y.tolist():
         _check_positive("exponent y", v)
-    cut, hi, lo = (np.full(len(y), v) for v in _split(t, DEFAULT_EPS))
-    kind, x, _ = _classify(cut, hi, lo, y, DEFAULT_EPS)
-    if len(y) and kind[0] != 1:
-        raise DomainError(f"x is {_KINDS[kind[0]].value}; curve undefined")
+    kind = solve_x(t, 1.0).kind
+    if len(y) and kind is not XKind.FINITE:
+        raise DomainError(f"x is {kind.value}; curve undefined")
+    _, x, _ = _classify(np.tile(t.as_tuple(), (len(y), 1)), y, DEFAULT_EPS)
     return list(zip(y.tolist(), (x * y).tolist(), y.tolist()))
 
 
@@ -302,9 +295,7 @@ def _sweep_chunk(dims, mid, family, y, eps, seed, n, start):
     stop = min(start + _SWEEP_CHUNK, n)
     amps = _states.family_rows(dims, family, _states.index_streams(seed, start, stop))
     triples = _measures._measure_triples(dims, amps, mid)
-    hi = np.maximum(triples[:, 1], triples[:, 2])
-    lo = np.minimum(triples[:, 1], triples[:, 2])
-    kind, x, violation = _classify(triples[:, 0], hi, lo, y, eps)
+    kind, x, violation = _classify(triples, y, eps)
     counts = np.append(np.bincount(kind, minlength=3), violation.sum())
     witnesses = [
         (start + int(k), MeasureTriple(*triples[k].tolist(), mid))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entmono import haar_random, save_state
+from entmono import StateError, haar_random, save_state
 from entmono.cli import main, resolve_example
 from entmono.measures import LOG2_3
 
@@ -160,11 +160,11 @@ class TestInlineExamples:
         assert abs(s.amps[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_wrong_arity(self):
-        with pytest.raises(Exception):
+        with pytest.raises(StateError):
             resolve_example("wclass:1,0,0")
 
     def test_zero_direction(self):
-        with pytest.raises(Exception):
+        with pytest.raises(StateError):
             resolve_example("wclass:0,0,0,0")
 
 
@@ -262,9 +262,24 @@ class TestRejectedInputs:
         assert err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels", [("a", "b", "c"), ("a", "..", "b", "c")],
+                             ids=["chain", "dotdot"])
+    def test_rejected_sweep_leaves_no_nested_out(self, tmp_path, capsys, levels):
+        # every level the sweep created goes, leaf first; the one that existed stays
+        (tmp_path / "nest").mkdir()
+        out = tmp_path.joinpath("nest", *levels)
+        code, _, err = run_cli(["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "10",
+                                "--y", "-1", "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [tmp_path / "nest"]
+        assert list((tmp_path / "nest").iterdir()) == []
+
     @pytest.mark.parametrize("extra", [
         ["--y", "nan"], ["--y", "inf"], ["--eps", "-1"], ["--alpha", "nan"], ["--alpha", "0"],
         ["--example", "wclass:nan,1,1,1"], ["--example", "schmidt:1,1,1,1,1,inf"],
+        ["--example", "schmidt:1,x,0,0,0,0"], ["--example", "wclass:1,2,x,4"],
+        ["--example", "schmidt:inf,0,0,0,0,0"],
     ])
     def test_analyze(self, capsys, extra):
         code, out, err = run_cli(["analyze", "--example", "w", "--measure", "c"] + extra, capsys)

@@ -239,6 +239,10 @@ class TestMeasureTriple:
         with pytest.raises(MeasureError, match="finite"):
             MeasureTriple(*values, MeasureId.CONCURRENCE)
 
+    def test_negative_rejected(self):
+        with pytest.raises(MeasureError, match="non-negative"):
+            MeasureTriple(1.0, 0.5, -1e-300, MeasureId.CONCURRENCE)
+
     def test_monotone_on_pure_cut(self):
         for seed in range(300):
             t = measure_triple(haar_random((2, 2, 2), seed), MeasureId.CONCURRENCE)
@@ -501,15 +505,19 @@ class TestAssistedSearch:
             assert searched >= nelder_mead_assistance(state, "C") - 1e-12
             assert searched <= cut + 1e-14  # sqrt(det) is concave: C_a <= C(A|BC)
 
-    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
     def test_one_state_equals_batch(self, dims):
+        # every value refers to the normalized vector, so the public one-state
+        # calls are the batch's rows bit for bit
         mid = MeasureId.CONCURRENCE_OF_ASSISTANCE
         states = [haar_random(dims, 70_000 + k) for k in range(40)]
         batch = _measure_triples(dims, np.array([s.amps for s in states]), mid)
         searched = "C" if dims[1] == 2 else "B"
         for state, row in zip(states, batch):
             assert measure_triple(state, mid).as_tuple() == tuple(row.tolist())
-            assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
+            assert concurrence_pure_cut(state) == row[0]
+            if dims != (2, 2, 2):  # three qubits take no search
+                assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
 
     def test_partner_beyond_four_dims(self):
         # a qutrit partner embedded in 6 dims by a random isometry: the search
@@ -569,3 +577,7 @@ class TestAssistedSearch:
             measure_triple(haar_random((2, 3, 3), 0), MeasureId.CONCURRENCE_OF_ASSISTANCE)
         with pytest.raises(MeasureError, match="assistant C must be a qubit"):
             assisted_concurrence(haar_random((2, 2, 3), 0), "B")
+        with pytest.raises(MeasureError, match="partner must be B or C"):
+            assisted_concurrence(haar_random((2, 2, 2), 0), "X")
+        with pytest.raises(MeasureError, match="d_A = 2"):
+            assisted_concurrence(haar_random((3, 2, 2), 0), "B")

@@ -112,6 +112,10 @@ class TestSchmidt:
         with pytest.raises(StateError):
             SchmidtParams((1.0, 1.0, 0, 0, 0))
 
+    def test_four_lambdas(self):
+        with pytest.raises(StateError, match="five"):
+            SchmidtParams((0.5, 0.5, 0.5, 0.5))
+
     def test_negative_lambda(self):
         with pytest.raises(StateError):
             SchmidtParams((-0.5, 0.5, 0.5, 0.5, 0.0))
