@@ -282,11 +282,11 @@ class SweepReport:
 
 
 def _sample_state(dims, family, seed, index):
-    """The state of sweep sample ``index`` at ``seed``, drawn as its chunk draws it.
+    """The state of sweep sample ``index`` at ``seed``, drawn by the chunk code.
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    rows = _states.family_rows(dims, family, [np.random.Generator(np.random.PCG64((seed, index)))])
+    rows = _states.family_rows(dims, family, _states.index_streams(seed, index, index + 1))
     return _states.PureTripartiteState(tuple(dims), rows[0])
 
 
@@ -346,8 +346,10 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     if workers > 1 and n >= 4 * _SWEEP_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
 
+        _states._ziggurat_tables()  # once, so that forked workers inherit them
+        # about four tasks per worker: fewer round trips, and the last ones still balance
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk, starts))
+            results = list(pool.map(chunk, starts, chunksize=-(-len(starts) // (4 * workers))))
     else:
         results = [chunk(start) for start in starts]
 

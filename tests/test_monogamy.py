@@ -33,7 +33,7 @@ from entmono import (
     theorem3_alpha_relaxed,
     w_class,
 )
-from entmono import monogamy
+from entmono import monogamy, states
 from entmono.measures import LOG2_3, MeasureError
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
 from entmono.states import _StateWords, family_rows, index_streams
@@ -589,6 +589,7 @@ def _constructor_state(dims, family, seq):
 class TestChunkSampling:
     @pytest.mark.parametrize("dims,family", [
         ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
+        ((3, 3, 3), "haar"),  # more draws a row than the batched draw takes
     ])
     def test_replay_matches_chunk(self, dims, family):
         amps = family_rows(dims, family, index_streams(31, 500, 540))
@@ -645,6 +646,68 @@ class TestChunkSampling:
         finally:
             gc.callbacks.remove(record)
         assert collections == []
+
+    def test_ziggurat_tables_match_numpy_at_boundaries(self):
+        # numpy's draw on a chosen output r, set through the PCG64 state setter:
+        # with increment 1 the state (r - 1) / M steps to r, whose output is r
+        wi, ki = states._ziggurat_tables()
+        gen = np.random.Generator(np.random.PCG64(1))
+        inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+        for idx in range(256):
+            for rabs in {max(int(ki[idx]) - 1, 0), int(ki[idx])}:
+                for sign in (0, 1):
+                    r = rabs << 9 | sign << 8 | idx
+                    gen.bit_generator.state = {
+                        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": (r - 1) * inverse % 2**128, "inc": 1}}
+                    want = gen.standard_normal()
+                    read_alone = gen.bit_generator.state["state"]["state"] == r
+                    x, fast = states._ziggurat(np.array([r], np.uint64), wi, ki)
+                    assert fast[0] == (rabs < ki[idx]) == read_alone, (idx, rabs)
+                    if read_alone:
+                        assert x.tobytes() == np.float64(want).tobytes(), (idx, rabs)
+
+    @pytest.mark.parametrize("dims,family", [
+        ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
+    ])
+    def test_all_rows_redrawn(self, monkeypatch, dims, family):
+        # with every draw off the fast path, every row is its own Generator's
+        want = family_rows(dims, family, list(index_streams(19, 0, 512)))
+        wi, ki = states._ziggurat_tables()
+        monkeypatch.setattr(states, "_ziggurat_tables", lambda: (wi, np.zeros_like(ki)))
+        redrawn = []
+        draw_row = states._draw_row
+
+        def counted(row, rng, n, phase):
+            redrawn.append(n)
+            draw_row(row, rng, n, phase)
+
+        monkeypatch.setattr(states, "_draw_row", counted)
+        assert family_rows(dims, family, index_streams(19, 0, 512)).tobytes() == want.tobytes()
+        assert len(redrawn) == 512
+
+    def test_tail_and_idx1_rows(self):
+        # block whose row 5 first leaves the fast path in the tail (idx 0) and
+        # row 6 at idx 1, which has no fast path
+        rows = states._seed_state_words(36, 0, 8)
+        r = states._pcg64_outputs(rows, 16)
+        for i in range(8):
+            ref = np.random.PCG64(np.random.SeedSequence((36, i)))
+            assert r[:, i].tobytes() == ref.random_raw(16).tobytes()
+        _, fast = states._ziggurat(r, *states._ziggurat_tables())
+        first_slow = {i: int(r[np.flatnonzero(~fast[:, i])[0], i] & 0xFF)
+                      for i in range(8) if not fast[:, i].all()}
+        assert first_slow[5] == 0 and first_slow[6] == 1
+        ref = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((36, i))))
+               for i in range(8)]
+        assert (family_rows((2, 2, 2), "haar", index_streams(36, 0, 8)).tobytes()
+                == family_rows((2, 2, 2), "haar", ref).tobytes())
+
+    def test_tables_checked_against_numpy(self, monkeypatch):
+        # tables that keep every draw on the fast path fail the check on numpy's own rows
+        monkeypatch.setattr(states, "_first_slow", lambda gen, idx, lo, hi: 2**52)
+        with pytest.raises(RuntimeError, match="does not reproduce numpy"):
+            states._ziggurat_tables.__wrapped__()
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
     def test_state_words_hold_pcg64_seed_only(self, n_words, dtype):
