@@ -286,14 +286,14 @@ def _sample_state(dims, family, seed, index):
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    rows = _states.family_rows(dims, family, _states.index_streams(seed, index, index + 1))
+    rows = _states.family_rows(dims, family, _states.stream_words(seed, index, index + 1))
     return _states.PureTripartiteState(tuple(dims), rows[0])
 
 
 def _sweep_chunk(dims, mid, family, y, eps, seed, n, start):
     """(zero, finite, unbounded, violations) counts, finite x and witnesses of one chunk."""
     stop = min(start + _SWEEP_CHUNK, n)
-    amps = _states.family_rows(dims, family, _states.index_streams(seed, start, stop))
+    amps = _states.family_rows(dims, family, _states.stream_words(seed, start, stop))
     triples = _measures._measure_triples(dims, amps, mid)
     kind, x, violation = _classify(triples, y, eps)
     counts = np.append(np.bincount(kind, minlength=3), violation.sum())

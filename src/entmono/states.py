@@ -248,26 +248,27 @@ def _check_family(dims, family):
         raise StateError(f"{family} family is defined on dims (2,2,2)")
 
 
-def family_rows(dims, family, rngs) -> np.ndarray:
-    """Unit amplitude rows of random states of a family, one per Generator.
+def family_rows(dims, family, words) -> np.ndarray:
+    """Unit amplitude rows of random states of a family, one per row of seed words.
 
-    ``rngs`` is a sized iterable of Generators, such as a list or an
-    ``index_streams`` block.  Each row draws from its own Generator: haar
-    takes 2 dA dB dC normals (real parts, then imaginary parts); w_class
-    takes 8 normals, the real then imaginary parts of b0..b3; schmidt takes
-    5 normals, whose absolute values are l0..l4, then a uniform phase phi.
-    An ``index_streams`` block below 2**32 of rows of at most 32 draws is
-    drawn all at once, with the same bits (``_draws``).  The coefficients
-    are normalized, then placed as in ``w_class`` and ``from_schmidt``.
-    All rows are normalized at once with the arithmetic of the one-state
-    constructors, which are the one-row calls of the same helpers.
+    ``words`` is an (N, 4) uint64 array of PCG64 seed words, such as a
+    ``stream_words`` block; row k draws from the stream of
+    ``Generator(PCG64(s))`` for a seed sequence s whose
+    ``generate_state(4, np.uint64)`` is ``words[k]``.  haar takes
+    2 dA dB dC normals (real parts, then imaginary parts); w_class takes 8
+    normals, the real then imaginary parts of b0..b3; schmidt takes 5
+    normals, whose absolute values are l0..l4, then a uniform phase phi.
+    The coefficients are normalized, then placed as in ``w_class`` and
+    ``from_schmidt``.  All rows are normalized at once with the arithmetic
+    of the one-state constructors, which are the one-row calls of the same
+    helpers.
     """
     _check_family(dims, family)
     total = dims[0] * dims[1] * dims[2]
     if family == "schmidt":
-        raw = _draws(rngs, 5, phase=True)
+        raw = _draws(words, 5, phase=True)
         return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), raw[:, 5])
-    raw = _draws(rngs, 2 * total if family == "haar" else 8, phase=False)
+    raw = _draws(words, 2 * total if family == "haar" else 8, phase=False)
     if family == "haar":
         return unit_rows(raw[:, :total] + 1j * raw[:, total:])
     return _w_rows(unit_rows(raw[:, :4] + 1j * raw[:, 4:]))
@@ -276,25 +277,25 @@ def family_rows(dims, family, rngs) -> np.ndarray:
 def haar_random(dims, rng_seed) -> PureTripartiteState:
     """Haar-random pure state: normalized i.i.d. complex Gaussian vector.
 
-    Deterministic for a fixed seed; ``rng_seed`` may be an int or a
-    numpy SeedSequence.
+    The state drawn from ``Generator(PCG64(rng_seed))``, where ``rng_seed``
+    may be an int, a sequence of ints, or a numpy SeedSequence.
     """
     dims = _check_dims(dims)
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    return PureTripartiteState(dims, family_rows(dims, "haar", [rng])[0])
+    if not isinstance(rng_seed, np.random.bit_generator.ISeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    words = rng_seed.generate_state(4, np.uint64)[None]
+    return PureTripartiteState(dims, family_rows(dims, "haar", words)[0])
 
 
 # --- per-index streams ------------------------------------------------------
 #
 # Sample i of a sweep at seed s draws from Generator(PCG64(SeedSequence((s, i)))).
-# The code below yields those streams for a block of indices below 2**32 bit
-# for bit, without one SeedSequence object per index: numpy's SeedSequence
-# hash (mix_entropy and generate_state in numpy/random/bit_generator.pyx)
-# runs on uint32 columns over the whole block, and each index's PCG64 seeds
-# itself from its row of the result.  Such an index is one entropy word, so
-# every row of a block has the same word count.  ``_draws`` goes one step
-# further and draws such a block's states without any Generator, except
-# for the rows it has to redraw (see the batched draw below).
+# A stream is named by the 4 uint64 words its SeedSequence hands PCG64, and
+# ``stream_words`` computes them for a block of indices below 2**32 bit for
+# bit, without one SeedSequence object per index: numpy's SeedSequence hash
+# (mix_entropy and generate_state in numpy/random/bit_generator.pyx) runs on
+# uint32 columns over the whole block.  Such an index is one entropy word,
+# so every row of a block has the same word count.
 
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -338,9 +339,18 @@ def _mix(x, y):
     return r ^ r >> _XSHIFT
 
 
-def _seed_state_words(seed, start, n):
-    """(n, 4) uint64 rows SeedSequence((seed, i)).generate_state(4, np.uint64)."""
-    words = _entropy_words(seed, start, n)
+def stream_words(seed, start, stop):
+    """(stop - start, 4) uint64 rows SeedSequence((seed, i)).generate_state(4, np.uint64)
+    for i in range(start, stop), bit for bit.
+
+    seed and indices are non-negative ints; a block that reaches 2**32
+    takes numpy's own SeedSequence for each index.
+    """
+    seed, start, stop = int(seed), int(start), int(stop)
+    if stop > 1 << 32:
+        return np.array([np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                         for i in range(start, stop)], np.uint64).reshape(-1, 4)
+    words = _entropy_words(seed, start, stop - start)
     consts = _hash_consts(_INIT_A, _MULT_A)
     # entropy shorter than the pool hashes as if padded with zero words
     pool = _hashmix(words[:, :_POOL_SIZE], consts, _POOL_SIZE)
@@ -366,34 +376,9 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return self.row
 
 
-class index_streams:
-    """Generator(PCG64(SeedSequence((seed, i)))) for i in range(start, stop).
-
-    The streams are numpy's bit for bit, and each Generator is its own.
-    Like range, the block has a length and makes each stream as it is
-    iterated, so a caller can size its output first while only one
-    Generator is alive (holding a chunk's Generators at once sets off the
-    garbage collector).  seed and indices are non-negative ints; a block
-    that reaches 2**32 takes numpy's own SeedSequence for each index.
-    """
-
-    def __init__(self, seed, start, stop):
-        self.seed, self.start, self.stop = int(seed), int(start), int(stop)
-
-    def __len__(self):
-        return self.stop - self.start
-
-    def __iter__(self):
-        if self.stop > 1 << 32:
-            return (np.random.Generator(np.random.PCG64((self.seed, i)))
-                    for i in range(self.start, self.stop))
-        return (np.random.Generator(np.random.PCG64(_StateWords(row)))
-                for row in _seed_state_words(self.seed, self.start, len(self)))
-
-
 # --- batched draw -------------------------------------------------------------
 #
-# The rows of a block below 2**32 are drawn without Generators, in three steps.
+# Rows of at most _BATCH_DRAWS draws are drawn without Generators, in three steps.
 # 1. PCG64 (numpy's pcg64.h: a 128-bit LCG with multiplier M and XSL-RR
 #    output, O'Neill 2014) seeded with the words (w0, w1, w2, w3) starts at
 #    ((inc + s) * M + inc) mod 2**128, with s = w0 << 64 | w1 and
@@ -482,27 +467,27 @@ def _draw_row(row, rng, n, phase):
         row[n] = rng.uniform(0.0, 2.0 * math.pi)
 
 
-def _batch_draws(streams, n, phase, tables):
-    """``_draws`` of an index_streams block below 2**32, with tables (wi, ki)."""
-    rows = _seed_state_words(streams.seed, streams.start, len(streams))
-    r = _pcg64_outputs(rows, n + phase)
-    x, fast = _ziggurat(r[:n], *tables)
-    out = np.empty((len(rows), n + phase))
-    out[:, :n] = x.T
-    if phase:
-        out[:, n] = 2.0 * math.pi * ((r[n] >> np.uint64(11)) * 2.0**-53)
-    for k in np.flatnonzero(~fast.all(axis=0)):
-        _draw_row(out[k], np.random.Generator(np.random.PCG64(_StateWords(rows[k]))), n, phase)
-    return out
+def _draws(words, n, phase, tables=None):
+    """(len(words), n + phase) array whose row k is ``_draw_row`` from
+    ``Generator(PCG64(_StateWords(words[k])))``.
 
-
-def _draws(rngs, n, phase):
-    """(len(rngs), n + phase) array whose row k is ``_draw_row`` from the k-th Generator."""
-    if isinstance(rngs, index_streams) and rngs.stop <= 1 << 32 and n + phase <= _BATCH_DRAWS:
-        return _batch_draws(rngs, n, phase, _ziggurat_tables())
-    out = np.empty((len(rngs), n + phase))
-    for row, rng in zip(out, rngs):
-        _draw_row(row, rng, n, phase)
+    Rows of at most _BATCH_DRAWS draws are drawn at once with the ziggurat
+    tables (wi, ki), numpy's own unless given, and only the rows with a
+    slow draw are redrawn; longer rows are all drawn by their Generators.
+    """
+    out = np.empty((len(words), n + phase))
+    redraw = range(len(words))
+    if n + phase <= _BATCH_DRAWS:
+        r = _pcg64_outputs(words, n + phase)
+        x, fast = _ziggurat(r[:n], *(tables or _ziggurat_tables()))
+        out[:, :n] = x.T
+        if phase:
+            out[:, n] = 2.0 * math.pi * ((r[n] >> np.uint64(11)) * 2.0**-53)
+        redraw = np.flatnonzero(~fast.all(axis=0))
+    # a fresh Generator a row: setting one reused Generator through the PCG64
+    # state setter took longer (3.81 against 2.71 us a row of 16 normals)
+    for k in redraw:
+        _draw_row(out[k], np.random.Generator(np.random.PCG64(_StateWords(words[k]))), n, phase)
     return out
 
 
@@ -551,9 +536,9 @@ def _ziggurat_tables():
     guess = [round(wi[i - 1] / wi[i] * 2**52) for i in range(2, 256)]
     brackets = [(-1, _MASK52 + 1)] * 2 + [(g - 1, g) for g in guess]
     ki = np.array([_first_slow(gen, idx, *b) for idx, b in enumerate(brackets)], np.uint64)
-    streams = index_streams(0, 0, 16)
-    want = _draws(list(streams), 16, True)  # as a list, its Generators draw one by one
-    if _batch_draws(streams, 16, True, (wi, ki)).tobytes() != want.tobytes():
+    words = stream_words(0, 0, 16)
+    want = _draws(words, 16, True, (wi, np.zeros_like(ki)))  # no fast path: all by Generators
+    if _draws(words, 16, True, (wi, ki)).tobytes() != want.tobytes():
         raise RuntimeError(f"the batched draw does not reproduce numpy {np.__version__}'s "
                            "PCG64 normals; its PCG64 or ziggurat differs from the one this "
                            "code follows")

@@ -1,7 +1,8 @@
 """References that tests hold the batch code to; no package path calls them.
 
 Mixed-state formulas on density matrices, the extended-precision three-qubit
-kernel, and the dense assistant search.
+kernel, the dense assistant search, and family states drawn from numpy's own
+Generators.
 """
 
 import numpy as np
@@ -137,3 +138,28 @@ def spinflip_kernel(amps) -> np.ndarray:
     s = np.sqrt(np.maximum((tr_pair[..., None] + disc[..., None] * np.array([1, -1])) / 2, 0))
     out[:, 1:] = s / nsq[..., None]
     return out.astype(float)
+
+
+def numpy_family_rows(dims, family, seeds) -> np.ndarray:
+    """states.family_rows' recipe, each row drawn from numpy's own
+    Generator(PCG64(SeedSequence(s))) for one entry s of seeds."""
+    total = dims[0] * dims[1] * dims[2]
+    rows = []
+    for s in seeds:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+        if family == "haar":
+            raw = rng.standard_normal(2 * total)
+            amps = raw[:total] + 1j * raw[total:]
+        elif family == "w_class":
+            raw = rng.standard_normal(8)
+            b = raw[:4] + 1j * raw[4:]
+            amps = np.zeros(8, dtype=complex)
+            amps[[0, 4, 2, 1]] = b / np.linalg.norm(b)  # |000>, |100>, |010>, |001>
+        else:
+            lam = np.abs(rng.standard_normal(5))
+            lam /= np.linalg.norm(lam)
+            amps = np.zeros(8, dtype=complex)
+            amps[[0, 4, 5, 6, 7]] = lam
+            amps[4] *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        rows.append(amps / np.linalg.norm(amps))
+    return np.array(rows).reshape(-1, total)

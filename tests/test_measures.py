@@ -33,7 +33,7 @@ from entmono.measures import (
     binary_entropy,
     formation_of_concurrence,
 )
-from entmono.states import family_rows, index_streams
+from entmono.states import family_rows, stream_words
 from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
                        spinflip_kernel, spinflip_sqrt_spectrum, von_neumann_entropy,
                        wootters_concurrence)
@@ -440,7 +440,7 @@ class TestClosedFormKernel:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
                         reason="the reference kernel needs a long double wider than float64")
     def test_extended_precision_reference(self):
-        amps = family_rows((2, 2, 2), "haar", index_streams(5, 0, 512))
+        amps = family_rows((2, 2, 2), "haar", stream_words(5, 0, 512))
         spectra = spinflip_kernel(amps)
         c = spectra[..., 0] - spectra[..., 1]
         expected = {MeasureId.CONCURRENCE: c,
@@ -550,7 +550,7 @@ class TestAssistedSearch:
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
     def test_live_search_equals_dense(self, dims):
         # dropping stopped searches changes no value: the old loop stepped all
-        psi = self._searched(dims, family_rows(dims, "haar", index_streams(61, 0, 512)))
+        psi = self._searched(dims, family_rows(dims, "haar", stream_words(61, 0, 512)))
         live = _assistant_search(psi)
         assert live.tobytes() == dense_assistant_search(psi).tobytes()
         assert live.tobytes() == _assistant_search(psi[::-1])[::-1].tobytes()

@@ -36,7 +36,8 @@ from entmono import (
 from entmono import monogamy, states
 from entmono.measures import LOG2_3, MeasureError
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
-from entmono.states import _StateWords, family_rows, index_streams
+from entmono.states import _StateWords, family_rows, stream_words
+from reference import numpy_family_rows
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -592,7 +593,7 @@ class TestChunkSampling:
         ((3, 3, 3), "haar"),  # more draws a row than the batched draw takes
     ])
     def test_replay_matches_chunk(self, dims, family):
-        amps = family_rows(dims, family, index_streams(31, 500, 540))
+        amps = family_rows(dims, family, stream_words(31, 500, 540))
         for row, i in zip(amps, range(500, 540)):
             seq = np.random.SeedSequence((31, i))
             assert row.tobytes() == _sample_state(dims, family, 31, i).amps.tobytes()
@@ -611,41 +612,35 @@ class TestChunkSampling:
     def test_streams_are_numpy_streams(self, seed, start, n):
         # numpy's own SeedSequence is the reference for every (seed, index) stream
         stop = start + n
+        words = stream_words(seed, start, stop)
+        assert words.shape == (n, 4) and words.dtype == np.uint64
+        for row, i in zip(words, range(start, stop)):
+            want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+            assert row.tobytes() == want.tobytes()
+        seeds = [(seed, i) for i in range(start, stop)]
         for dims, family in (((2, 2, 2), "haar"), ((2, 2, 3), "haar"),
                              ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt")):
-            ref = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-                   for i in range(start, stop)]
-            rows = family_rows(dims, family, index_streams(seed, start, stop))
-            assert rows.tobytes() == family_rows(dims, family, ref).tobytes()
-        for rng, i in zip(index_streams(seed, start, stop), range(start, stop)):
-            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.random(3).tobytes() == ref.random(3).tobytes()
-
-    def test_streams_are_independent(self):
-        # hold every Generator first, then draw from them in reverse order
-        rngs = list(index_streams(5, 2**32 - 4, 2**32 + 4))
-        for rng, i in reversed(list(zip(rngs, range(2**32 - 4, 2**32 + 4)))):
-            ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, i))))
-            assert rng.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+            assert (family_rows(dims, family, words).tobytes()
+                    == numpy_family_rows(dims, family, seeds).tobytes())
 
     def test_chunk_draw_holds_one_generator(self):
         # a chunk's 512 Generators held at once set off collections that cost
-        # sweeps milliseconds; the sized block makes each one as it is drawn
-        streams = index_streams(3, 0, 512)
-        assert len(streams) == 512
+        # sweeps milliseconds; the draw makes each one as it redraws its row.
+        # (2,2,5) rows take 40 draws, so the redraw loop makes every row's.
+        words = stream_words(3, 0, 512)
         collections = []
 
         def record(phase, info):
             collections.append((phase, info["generation"]))
 
-        gc.collect()
-        gc.callbacks.append(record)
-        try:
-            family_rows((2, 2, 3), "haar", streams)
-        finally:
-            gc.callbacks.remove(record)
-        assert collections == []
+        for dims in ((2, 2, 3), (2, 2, 5)):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                family_rows(dims, "haar", words)
+            finally:
+                gc.callbacks.remove(record)
+            assert collections == [], dims
 
     def test_ziggurat_tables_match_numpy_at_boundaries(self):
         # numpy's draw on a chosen output r, set through the PCG64 state setter:
@@ -672,7 +667,7 @@ class TestChunkSampling:
     ])
     def test_all_rows_redrawn(self, monkeypatch, dims, family):
         # with every draw off the fast path, every row is its own Generator's
-        want = family_rows(dims, family, list(index_streams(19, 0, 512)))
+        want = numpy_family_rows(dims, family, [(19, i) for i in range(512)])
         wi, ki = states._ziggurat_tables()
         monkeypatch.setattr(states, "_ziggurat_tables", lambda: (wi, np.zeros_like(ki)))
         redrawn = []
@@ -683,13 +678,13 @@ class TestChunkSampling:
             draw_row(row, rng, n, phase)
 
         monkeypatch.setattr(states, "_draw_row", counted)
-        assert family_rows(dims, family, index_streams(19, 0, 512)).tobytes() == want.tobytes()
+        assert family_rows(dims, family, stream_words(19, 0, 512)).tobytes() == want.tobytes()
         assert len(redrawn) == 512
 
     def test_tail_and_idx1_rows(self):
         # block whose row 5 first leaves the fast path in the tail (idx 0) and
         # row 6 at idx 1, which has no fast path
-        rows = states._seed_state_words(36, 0, 8)
+        rows = stream_words(36, 0, 8)
         r = states._pcg64_outputs(rows, 16)
         for i in range(8):
             ref = np.random.PCG64(np.random.SeedSequence((36, i)))
@@ -698,10 +693,8 @@ class TestChunkSampling:
         first_slow = {i: int(r[np.flatnonzero(~fast[:, i])[0], i] & 0xFF)
                       for i in range(8) if not fast[:, i].all()}
         assert first_slow[5] == 0 and first_slow[6] == 1
-        ref = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((36, i))))
-               for i in range(8)]
-        assert (family_rows((2, 2, 2), "haar", index_streams(36, 0, 8)).tobytes()
-                == family_rows((2, 2, 2), "haar", ref).tobytes())
+        assert (family_rows((2, 2, 2), "haar", rows).tobytes()
+                == numpy_family_rows((2, 2, 2), "haar", [(36, i) for i in range(8)]).tobytes())
 
     def test_tables_checked_against_numpy(self, monkeypatch):
         # tables that keep every draw on the fast path fail the check on numpy's own rows

@@ -193,6 +193,16 @@ class TestHaar:
         b = haar_random((2, 2, 2), 43)
         assert np.max(np.abs(a.amps - b.amps)) > 1e-6
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (3, 3, 3)])
+    @pytest.mark.parametrize("seed", [42, (31, 7), np.random.SeedSequence((5, 2**40))],
+                             ids=["int", "tuple", "SeedSequence"])
+    def test_numpy_stream(self, dims, seed):
+        # the normalized complex normals of numpy's own Generator(PCG64(seed))
+        total = dims[0] * dims[1] * dims[2]
+        raw = np.random.Generator(np.random.PCG64(seed)).standard_normal(2 * total)
+        v = raw[:total] + 1j * raw[total:]
+        assert haar_random(dims, seed).amps.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
     def test_reduction_trace(self):
         s = haar_random((3, 3, 3), 5)
         rho = reduced_density(s, "A")
