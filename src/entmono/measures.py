@@ -375,10 +375,10 @@ def _assistant_search(psi) -> np.ndarray:
 
 
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
-    """C_a(rho_{A,partner}) by search over projective measurements of the assistant.
+    """C_a(rho_{A,partner}) for a qubit A and assistant: the pair's column of the ca triple.
 
-    Requires d_A = 2 and a two-dimensional assistant (the third party).  The
-    value is a lower bound on C_a, and it is at most the A|BC cut value.
+    A qubit partner takes the closed form C_a = s1 + s2 (Laustsen, Verstraete and
+    van Enk 2003).  A qudit partner is searched: a lower bound, at most the A|BC cut.
     """
     partner = partner.upper()
     if partner not in ("B", "C"):
@@ -390,8 +390,8 @@ def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
     d_assist = dC if assistant == "C" else dB
     if d_assist != 2:
         raise MeasureError(f"assistant {assistant} must be a qubit, has dim {d_assist}")
-    t = state.tensor[None]
-    return float(_assistant_search(t if partner == "B" else t.swapaxes(2, 3))[0] / _norm2(t)[0])
+    triple = _measure_triples(state.dims, state.amps[None], MeasureId.CONCURRENCE_OF_ASSISTANCE)
+    return float(triple[0, 1 if partner == "B" else 2])
 
 
 # --- triple assembly --------------------------------------------------------

@@ -390,12 +390,15 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 #    ziggurat of Marsaglia and Tsang 2000) reads idx = r & 0xff, the sign at
 #    bit 8 and rabs = r >> 9 & (2**52 - 1) from output r, and returns
 #    x = +-rabs * wi[idx] from r alone iff rabs < ki[idx]; about 1.6% of
-#    draws leave this fast path and read more outputs.  A uniform on
-#    [0, 2 pi) is 2 pi * ((r >> 11) * 2**-53).
+#    draws leave this fast path and read more outputs.  The path holds the x
+#    below the edge 2**52 * wi[idx-1] of the next narrower layer, so ki[idx] =
+#    wi[idx-1] / wi[idx] * 2**52 rounded; the base strip, idx 0, takes the
+#    widest layer's edge wi[255] = r * 2**-52, and the top layer, idx 1, has
+#    no fast path.  A uniform on [0, 2 pi) is 2 pi * ((r >> 11) * 2**-53).
 # 3. Each row with a draw off the fast path is redrawn by its own Generator.
 #
-# wi and ki are numpy's own tables, read back from numpy once per process
-# through the public PCG64 state setter (``_ziggurat_tables``).
+# wi is read back from numpy once per process through the public PCG64 state
+# setter, and numpy is probed on both sides of every ki (``_ziggurat_tables``).
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 _MOD128 = 1 << 128
@@ -467,26 +470,33 @@ def _draw_row(row, rng, n, phase):
         row[n] = rng.uniform(0.0, 2.0 * math.pi)
 
 
-def _draws(words, n, phase, tables=None):
+def _fast_rows(words, n, phase, wi, ki):
+    """(out, fast): the batched rows of ``_draws`` with the tables (wi, ki),
+    and which rows drew every normal on the fast path, so are final."""
+    r = _pcg64_outputs(words, n + phase)
+    x, fast = _ziggurat(r[:n], wi, ki)
+    out = np.empty((len(words), n + phase))
+    out[:, :n] = x.T
+    if phase:
+        out[:, n] = 2.0 * math.pi * ((r[n] >> np.uint64(11)) * 2.0**-53)
+    return out, fast.all(axis=0)
+
+
+def _draws(words, n, phase):
     """(len(words), n + phase) array whose row k is ``_draw_row`` from
     ``Generator(PCG64(_StateWords(words[k])))``.
 
-    Rows of at most _BATCH_DRAWS draws are drawn at once with the ziggurat
-    tables (wi, ki), numpy's own unless given, and only the rows with a
-    slow draw are redrawn; longer rows are all drawn by their Generators.
+    Rows of at most _BATCH_DRAWS draws are drawn at once with numpy's
+    ziggurat tables (``_ziggurat_tables``), and only the rows with a slow
+    draw are redrawn; longer rows are all drawn by their Generators.
     """
-    out = np.empty((len(words), n + phase))
-    redraw = range(len(words))
     if n + phase <= _BATCH_DRAWS:
-        r = _pcg64_outputs(words, n + phase)
-        x, fast = _ziggurat(r[:n], *(tables or _ziggurat_tables()))
-        out[:, :n] = x.T
-        if phase:
-            out[:, n] = 2.0 * math.pi * ((r[n] >> np.uint64(11)) * 2.0**-53)
-        redraw = np.flatnonzero(~fast.all(axis=0))
+        out, fast = _fast_rows(words, n, phase, *_ziggurat_tables())
+    else:
+        out, fast = np.empty((len(words), n + phase)), np.zeros(len(words), bool)
     # a fresh Generator a row: setting one reused Generator through the PCG64
     # state setter took longer (3.81 against 2.71 us a row of 16 normals)
-    for k in redraw:
+    for k in np.flatnonzero(~fast):
         _draw_row(out[k], np.random.Generator(np.random.PCG64(_StateWords(words[k]))), n, phase)
     return out
 
@@ -505,43 +515,29 @@ def _numpy_normal(gen, r):
     return x, gen.bit_generator.state["state"]["state"] == r
 
 
-def _first_slow(gen, idx, lo, hi):
-    """ki[idx], the least rabs whose draw leaves the fast path, by bisection
-    from the bracket (lo, hi], widened first if it does not hold."""
-    def slow(rabs):
-        return rabs > _MASK52 or not _numpy_normal(gen, rabs << 9 | idx)[1]
-
-    step = hi - lo
-    while lo >= 0 and slow(lo):
-        lo, hi, step = max(lo - 2 * step, -1), lo, 2 * step
-    while not slow(hi):
-        lo, hi, step = hi, min(hi + 2 * step, _MASK52 + 1), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if slow(mid) else (mid, hi)
-    return hi
-
-
 @functools.cache
 def _ziggurat_tables():
-    """numpy's ziggurat tables (wi, ki), read back from numpy itself.
+    """numpy's ziggurat tables (wi, ki): wi read back from numpy, ki from wi by its rule.
 
-    wi[idx] is the draw at rabs = 1.  ki[idx] is pinned by probes: for
-    idx >= 2 it is within 0.5 of wi[idx-1] / wi[idx] * 2**52, and idx 0 and
-    1 are searched by bisection.  Raises RuntimeError unless a batched block
-    then draws the bits of numpy's own Generators.
+    wi[idx] is the draw at rabs = 1.  Raises RuntimeError unless numpy reads
+    one output at rabs = ki - 1 and more at ki in every layer (at 0 only in
+    layer 1), and the batched rows of 16 fast normals and a phase are those
+    of numpy's Generators.
     """
     gen = np.random.Generator(np.random.PCG64(0))
     wi = np.array([_numpy_normal(gen, 1 << 9 | idx)[0] for idx in range(256)])
-    guess = [round(wi[i - 1] / wi[i] * 2**52) for i in range(2, 256)]
-    brackets = [(-1, _MASK52 + 1)] * 2 + [(g - 1, g) for g in guess]
-    ki = np.array([_first_slow(gen, idx, *b) for idx, b in enumerate(brackets)], np.uint64)
-    words = stream_words(0, 0, 16)
-    want = _draws(words, 16, True, (wi, np.zeros_like(ki)))  # no fast path: all by Generators
-    if _draws(words, 16, True, (wi, ki)).tobytes() != want.tobytes():
+    ki = np.rint(np.roll(wi, 1) / wi * 2.0**52).astype(np.uint64)
+    ki[1] = 0
+    off = [idx for idx, k in enumerate(ki.tolist()) if _numpy_normal(gen, k << 9 | idx)[1]
+           or (k and not _numpy_normal(gen, (k - 1) << 9 | idx)[1])]
+    got, fast = _fast_rows(stream_words(0, 0, 16), 16, True, wi, ki)
+    want = np.empty_like(got)
+    for k, row in enumerate(want):
+        _draw_row(row, np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, k)))), 16, True)
+    if off or got[fast].tobytes() != want[fast].tobytes():
         raise RuntimeError(f"the batched draw does not reproduce numpy {np.__version__}'s "
                            "PCG64 normals; its PCG64 or ziggurat differs from the one this "
-                           "code follows")
+                           f"code follows (fast-path boundaries off in layers {off})")
     wi.setflags(write=False)
     ki.setflags(write=False)
     return wi, ki
@@ -587,6 +583,8 @@ def load_state(path) -> PureTripartiteState:
         dims = doc["dims"]
         pairs = doc["amps"]
         amps = np.array([complex(re, im) for re, im in pairs])
+        if any(isinstance(part, bool) for pair in pairs for part in pair):
+            raise TypeError("amplitude parts must be numbers, got a boolean")
     except (KeyError, TypeError, ValueError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})") from exc
     return pure_state_new(dims, amps)

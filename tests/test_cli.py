@@ -212,14 +212,17 @@ class TestSweep:
              "--out", str(tmp_path)], capsys)
         assert code == 1
 
-    def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("family", ["haar", "w", "schmidt"])
+    def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch, family):
+        # schmidt rows end in a phase draw, drawn in forked workers with the
+        # tables that sweep derived before the fork
         reports = []
         for threads in ("2", "1"):
             monkeypatch.setenv("MONO_THREADS", threads)
             out = tmp_path / threads
             code, _, _ = run_cli(
-                ["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "2048",
-                 "--seed", "17", "--out", str(out)], capsys)
+                ["sweep", "--dims", "2,2,2", "--measure", "c", "--family", family,
+                 "--samples", "2048", "--seed", "17", "--out", str(out)], capsys)
             assert code == 0
             reports.append((out / "sweep_report.json").read_bytes())
         assert reports[0] == reports[1]
@@ -296,7 +299,8 @@ class TestRejectedInputs:
         b'{"dims": [true,2,4]' + _AMPS.encode(),
         b'{"dims": ["2","2","2"]' + _AMPS.encode(),
         b'{"dims": ' + b'[' * 100_000 + b']' * 100_000 + b'}',
-    ], ids=["nan", "not-utf8", "dim-2.5", "dim-true", "dim-str", "deep"])
+        b'{"dims": [2,2,2], "amps": [[true, 0]' + b', [0, 0]' * 7 + b']}',
+    ], ids=["nan", "not-utf8", "dim-2.5", "dim-true", "dim-str", "deep", "amp-true"])
     def test_bad_state_file(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.json"
         p.write_bytes(doc)

@@ -508,7 +508,7 @@ class TestAssistedSearch:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
     def test_one_state_equals_batch(self, dims):
         # every value refers to the normalized vector, so the public one-state
-        # calls are the batch's rows bit for bit
+        # calls are the batch's rows bit for bit; three qubits take the closed form
         mid = MeasureId.CONCURRENCE_OF_ASSISTANCE
         states = [haar_random(dims, 70_000 + k) for k in range(40)]
         batch = _measure_triples(dims, np.array([s.amps for s in states]), mid)
@@ -516,8 +516,7 @@ class TestAssistedSearch:
         for state, row in zip(states, batch):
             assert measure_triple(state, mid).as_tuple() == tuple(row.tolist())
             assert concurrence_pure_cut(state) == row[0]
-            if dims != (2, 2, 2):  # three qubits take no search
-                assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
+            assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
 
     def test_partner_beyond_four_dims(self):
         # a qutrit partner embedded in 6 dims by a random isometry: the search

@@ -697,10 +697,21 @@ class TestChunkSampling:
                 == numpy_family_rows((2, 2, 2), "haar", [(36, i) for i in range(8)]).tobytes())
 
     def test_tables_checked_against_numpy(self, monkeypatch):
-        # tables that keep every draw on the fast path fail the check on numpy's own rows
-        monkeypatch.setattr(states, "_first_slow", lambda gen, idx, lo, hi: 2**52)
-        with pytest.raises(RuntimeError, match="does not reproduce numpy"):
-            states._ziggurat_tables.__wrapped__()
+        # a numpy whose fast path ends elsewhere than ki fails the probes on
+        # both sides of the boundaries: every draw reading one output, or the
+        # output at ki or at ki - 1 of layer 77 read the wrong way
+        wi, ki = states._ziggurat_tables()
+        at, below = int(ki[77]) << 9 | 77, int(ki[77] - 1) << 9 | 77
+        numpy_normal = states._numpy_normal
+        for moved, layers in ((None, list(range(256))), (at, [77]), (below, [77])):
+            def probe(gen, r):
+                x, alone = numpy_normal(gen, r)
+                return x, moved is None or alone != (r == moved)
+
+            monkeypatch.setattr(states, "_numpy_normal", probe)
+            with pytest.raises(RuntimeError, match="does not reproduce numpy") as exc:
+                states._ziggurat_tables.__wrapped__()
+            assert str(exc.value).endswith(f"layers {layers})"), moved
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
     def test_state_words_hold_pcg64_seed_only(self, n_words, dtype):

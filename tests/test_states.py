@@ -278,3 +278,11 @@ class TestStateFiles:
         path.write_text('{"dims": [2,2,2]}')
         with pytest.raises(StateError):
             load_state(path)
+
+    @pytest.mark.parametrize("pair", ["[true, 0]", "[1, false]"])
+    def test_boolean_amplitude_rejected(self, tmp_path, pair):
+        # JSON booleans are not numbers, as for dims, though complex() takes them
+        path = tmp_path / "bool.json"
+        path.write_text('{"dims": [2,2,2], "amps": [' + pair + ', [0, 0]' * 7 + ']}')
+        with pytest.raises(StateError, match="malformed state document"):
+            load_state(path)
