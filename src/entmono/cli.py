@@ -47,6 +47,20 @@ def _parse_reals(spec, n, what):
         raise states.StateError(f"bad number in {what}: {exc}") from exc
 
 
+def _unit(reals, dtype, what, spec):
+    """reals / ||reals|| as dtype, divided by max |reals| first if the norm over- or underflows."""
+    r = np.array(reals, dtype=float)
+    if not (np.isfinite(r).all() and r.any()):
+        raise states.StateError(f"{what} coefficients must be finite, not all zero: {spec}")
+    v = r.astype(dtype)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0 < nrm < math.inf:
+        v = (r / np.abs(r).max()).astype(dtype)
+        nrm = np.linalg.norm(v)
+    return v / nrm
+
+
 def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     """Named-example registry: ghz, w, wclass:..., schmidt:..., e223, afs.
 
@@ -61,19 +75,11 @@ def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     if make is not None:
         return name, make()
     if name.startswith("wclass:"):
-        b = np.array(_parse_reals(name[7:], 4, "wclass"), dtype=complex)
-        nrm = np.linalg.norm(b)
-        if not 0 < nrm < math.inf:
-            raise states.StateError(f"wclass coefficients must be finite, not all zero: {name[7:]}")
-        b = b / nrm
+        b = _unit(_parse_reals(name[7:], 4, "wclass"), complex, "wclass", name[7:])
         return name, states.w_class(*b)
     if name.startswith("schmidt:"):
         vals = _parse_reals(name[8:], 6, "schmidt")
-        lam = np.abs(np.array(vals[:5]))
-        nrm = np.linalg.norm(lam)
-        if not 0 < nrm < math.inf:
-            raise states.StateError(f"schmidt coefficients must be finite, not all zero: {name[8:]}")
-        lam = lam / nrm
+        lam = _unit(np.abs(vals[:5]), float, "schmidt", name[8:])
         return name, states.from_schmidt(
             states.SchmidtParams(tuple(lam), vals[5] % (2.0 * math.pi))
         )
@@ -83,30 +89,26 @@ def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     )
 
 
-def _resolve_source(args) -> tuple[str, states.PureTripartiteState | None]:
+def _source_triple(args) -> tuple[str, MeasureId, MeasureTriple]:
+    """(descriptor, measure, triple) of --example or --state under --measure."""
     if args.example and args.state:
         raise states.StateError("give either --example or --state, not both")
     if args.example:
-        return resolve_example(args.example)
-    if args.state:
-        return args.state, states.load_state(args.state)
-    raise states.StateError("a state source is required (--example or --state)")
-
-
-def _triple_for(descriptor, state, mid: MeasureId) -> MeasureTriple:
-    if mid is MeasureId.ENTANGLEMENT_COST_LOOKUP:
-        if descriptor != "afs":
-            raise measures.MeasureError(
-                "ec-lookup only has a tabulated entry for the 'afs' example"
-            )
-        return measures.entanglement_cost_lookup("antisymmetric_qutrit")
-    return measures.measure_triple(state, mid)
+        descriptor, state = resolve_example(args.example)
+    elif args.state:
+        descriptor, state = args.state, states.load_state(args.state)
+    else:
+        raise states.StateError("a state source is required (--example or --state)")
+    mid = MeasureId.from_string(args.measure)
+    if mid is not MeasureId.ENTANGLEMENT_COST_LOOKUP:
+        return descriptor, mid, measures.measure_triple(state, mid)
+    if descriptor != "afs":
+        raise measures.MeasureError("ec-lookup only has a tabulated entry for the 'afs' example")
+    return descriptor, mid, measures.entanglement_cost_lookup("antisymmetric_qutrit")
 
 
 def cmd_analyze(args) -> int:
-    descriptor, state = _resolve_source(args)
-    mid = MeasureId.from_string(args.measure)
-    t = _triple_for(descriptor, state, mid)
+    descriptor, mid, t = _source_triple(args)
     sol = monogamy.solve_x(t, args.y, args.eps)
     witness = sol.kind is monogamy.XKind.UNBOUNDED
     try:
@@ -172,9 +174,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    descriptor, state = _resolve_source(args)
-    mid = MeasureId.from_string(args.measure)
-    t = _triple_for(descriptor, state, mid)
+    descriptor, mid, t = _source_triple(args)
     if args.mode == "thm3":
         cert = monogamy.certify_per_state(t)
     else:

@@ -375,21 +375,15 @@ def _assistant_search(psi) -> np.ndarray:
 
 
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
-    """C_a(rho_{A,partner}) for a qubit A and assistant: the pair's column of the ca triple.
+    """C_a(rho_{A,partner}): the pair's column of the ca triple, on every dims it supports.
 
     A qubit partner takes the closed form C_a = s1 + s2 (Laustsen, Verstraete and
-    van Enk 2003).  A qudit partner is searched: a lower bound, at most the A|BC cut.
+    van Enk 2003), whatever the assistant's dimension.  A qudit partner with a
+    qubit assistant is searched: a lower bound, at most the A|BC cut.
     """
     partner = partner.upper()
     if partner not in ("B", "C"):
         raise MeasureError("partner must be B or C")
-    assistant = "C" if partner == "B" else "B"
-    dA, dB, dC = state.dims
-    if dA != 2:
-        raise MeasureError("assisted concurrence needs d_A = 2")
-    d_assist = dC if assistant == "C" else dB
-    if d_assist != 2:
-        raise MeasureError(f"assistant {assistant} must be a qubit, has dim {d_assist}")
     triple = _measure_triples(state.dims, state.amps[None], MeasureId.CONCURRENCE_OF_ASSISTANCE)
     return float(triple[0, 1 if partner == "B" else 2])
 

@@ -326,11 +326,11 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     MONO_THREADS caps the pool.  Each chunk evaluates and classifies its
     samples in one batch.
     """
-    if n < 1:
-        raise DomainError(f"need at least one sample, got {n}")
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"samples must be a positive integer, got {n!r}")
     _check_positive("exponent y", y)
     _check_eps(eps)
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     dims = _states._check_dims(dims)
     # fail fast on unsupported family/measure/dims before burning samples

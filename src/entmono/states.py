@@ -577,7 +577,7 @@ def load_state(path) -> PureTripartiteState:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, UTF-8 or int-digit limit
             raise StateError(f"{path}: not valid JSON ({exc})") from exc
     try:
         dims = doc["dims"]
@@ -585,7 +585,7 @@ def load_state(path) -> PureTripartiteState:
         amps = np.array([complex(re, im) for re, im in pairs])
         if any(isinstance(part, bool) for pair in pairs for part in pair):
             raise TypeError("amplitude parts must be numbers, got a boolean")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})") from exc
     return pure_state_new(dims, amps)
 

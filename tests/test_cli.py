@@ -167,6 +167,20 @@ class TestInlineExamples:
         with pytest.raises(StateError):
             resolve_example("wclass:0,0,0,0")
 
+    @pytest.mark.parametrize("name, unit", [
+        ("wclass:1e200,1e200,0,0", "wclass:1,1,0,0"),
+        ("wclass:1e-320,0,0,1e-320", "wclass:1,0,0,1"),
+        ("schmidt:1e300,0,0,0,1e300,0", "schmidt:1,0,0,0,1,0"),
+        ("schmidt:5e-324,0,0,0,5e-324,0", "schmidt:1,0,0,0,1,0"),
+    ])
+    def test_direction_outside_float_range(self, capsys, name, unit):
+        # finite, nonzero directions whose norm overflows or underflows are
+        # scaled by their largest entry first, with no overflow warning
+        code, out, err = run_cli(["analyze", "--example", name, "--measure", "c"], capsys)
+        assert (code, err) == (0, "")
+        ref = run_cli(["analyze", "--example", unit, "--measure", "c"], capsys)[1]
+        assert out.replace(name, unit) == ref
+
 
 class TestSweep:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -307,6 +321,21 @@ class TestRejectedInputs:
         code, out, err = run_cli(["analyze", "--state", str(p), "--measure", "c"], capsys)
         assert code == 1
         assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("doc", [
+        b'{"dims": [2,2,2], "amps": [[' + b'9' * 400 + b', 0]' + b', [0, 0]' * 7 + b']}',
+        b'{"dims": [' + b'2' * 5000 + b',2,2]' + _AMPS.encode(),
+        b'{"dims": [2,2,2], "amps": [[' + b'2' * 5000 + b', 0]' + b', [0, 0]' * 7 + b']}',
+    ], ids=["amp-400-digits", "dim-5000-digits", "amp-5000-digits"])
+    def test_oversized_integer(self, tmp_path, capsys, doc):
+        # complex() overflows on a 400-digit part, and json.load refuses an
+        # integer of more than 4300 digits: an error naming the file either way
+        p = tmp_path / "big.json"
+        p.write_bytes(doc)
+        code, out, err = run_cli(["analyze", "--state", str(p), "--measure", "c"], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {p}: ") and "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("argv", [

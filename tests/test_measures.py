@@ -505,18 +505,20 @@ class TestAssistedSearch:
             assert searched >= nelder_mead_assistance(state, "C") - 1e-12
             assert searched <= cut + 1e-14  # sqrt(det) is concave: C_a <= C(A|BC)
 
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2),
+                                      (2, 2, 6)])
     def test_one_state_equals_batch(self, dims):
         # every value refers to the normalized vector, so the public one-state
-        # calls are the batch's rows bit for bit; three qubits take the closed form
+        # calls are the batch's rows bit for bit, for the searched pair and for
+        # the pair with a qubit partner, which takes the closed form
         mid = MeasureId.CONCURRENCE_OF_ASSISTANCE
         states = [haar_random(dims, 70_000 + k) for k in range(40)]
         batch = _measure_triples(dims, np.array([s.amps for s in states]), mid)
-        searched = "C" if dims[1] == 2 else "B"
         for state, row in zip(states, batch):
             assert measure_triple(state, mid).as_tuple() == tuple(row.tolist())
             assert concurrence_pure_cut(state) == row[0]
-            assert assisted_concurrence(state, searched) == row[2 if searched == "C" else 1]
+            assert assisted_concurrence(state, "B") == row[1]
+            assert assisted_concurrence(state, "C") == row[2]
 
     def test_partner_beyond_four_dims(self):
         # a qutrit partner embedded in 6 dims by a random isometry: the search
@@ -572,11 +574,16 @@ class TestAssistedSearch:
         assert live[2] == pytest.approx(0.0, abs=1e-15)
 
     def test_needs_qubit_assistant(self):
+        # the ca triple's rule decides which pair values exist: a qubit partner
+        # takes the closed form whatever the assistant's dimension
+        mid = MeasureId.CONCURRENCE_OF_ASSISTANCE
         with pytest.raises(MeasureError, match="qubit partner or a qubit assistant"):
-            measure_triple(haar_random((2, 3, 3), 0), MeasureId.CONCURRENCE_OF_ASSISTANCE)
-        with pytest.raises(MeasureError, match="assistant C must be a qubit"):
-            assisted_concurrence(haar_random((2, 2, 3), 0), "B")
+            measure_triple(haar_random((2, 3, 3), 0), mid)
+        with pytest.raises(MeasureError, match="qubit partner or a qubit assistant"):
+            assisted_concurrence(haar_random((2, 3, 3), 0), "B")
         with pytest.raises(MeasureError, match="partner must be B or C"):
             assisted_concurrence(haar_random((2, 2, 2), 0), "X")
         with pytest.raises(MeasureError, match="d_A = 2"):
             assisted_concurrence(haar_random((3, 2, 2), 0), "B")
+        state = haar_random((2, 2, 3), 0)
+        assert assisted_concurrence(state, "B") == measure_triple(state, mid).e_ab

@@ -404,6 +404,10 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 10, 1,
                   family="w_class")
+        # sizes are integers, not bools or floats, as dims are
+        for n, seed in [(2.0, 1), (2.5, 1), (True, 1), (2, True), (2, 1.0), (2.0, True)]:
+            with pytest.raises(DomainError, match="positive|non-negative"):
+                sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, n, seed)
 
     def test_fail_fast_without_evaluating(self, monkeypatch):
         # family, dims, measure and seed are checked before any sample is drawn,
