@@ -378,7 +378,7 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 
 # --- batched draw -------------------------------------------------------------
 #
-# Rows of at most _BATCH_DRAWS draws are drawn without Generators, in three steps.
+# Rows of at most _BATCH_DRAWS draws are drawn without Generators, in four steps.
 # 1. PCG64 (numpy's pcg64.h: a 128-bit LCG with multiplier M and XSL-RR
 #    output, O'Neill 2014) seeded with the words (w0, w1, w2, w3) starts at
 #    ((inc + s) * M + inc) mod 2**128, with s = w0 << 64 | w1 and
@@ -394,21 +394,28 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
 #    below the edge 2**52 * wi[idx-1] of the next narrower layer, so ki[idx] =
 #    wi[idx-1] / wi[idx] * 2**52 rounded; the base strip, idx 0, takes the
 #    widest layer's edge wi[255] = r * 2**-52, and the top layer, idx 1, has
-#    no fast path.  A uniform on [0, 2 pi) is 2 pi * ((r >> 11) * 2**-53).
-# 3. Each row with a draw off the fast path is redrawn by its own Generator.
+#    no fast path.  A uniform on [0, 1) is (r >> 11) * 2**-53.
+# 3. Off the fast path in a layer idx >= 1, numpy's rejection step keeps x iff
+#    (fi[idx-1] - fi[idx]) * u + fi[idx] < exp(-x**2 / 2) for the uniform u of
+#    the next output, fi[idx] = exp(-(2**52 * wi[idx])**2 / 2) and fi[0] = 1,
+#    and otherwise starts over after u.  So a row whose first slow draw, at
+#    output p, is settled there keeps x at p or not, and reads on from p + 2.
+# 4. Rows with a tail draw (idx 0), a decision within _ACCEPT_BAND of its
+#    threshold or a second slow draw, about 3% of them, take their Generators.
 #
 # wi is read back from numpy once per process through the public PCG64 state
-# setter, and numpy is probed on both sides of every ki (``_ziggurat_tables``).
+# setter, and numpy is probed on both sides of every ki and of one accept
+# threshold a layer (``_ziggurat_tables``).
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 _MOD128 = 1 << 128
 _MASK52 = (1 << 52) - 1
 _MASK64 = (1 << 64) - 1
-# Each draw stays on the fast path with probability about 0.984, so long
-# rows are mostly redrawn: for haar rows of 16, 24, 32 and 36 draws the
-# batched draw took 0.48, 0.73, 0.86 and 1.13 times as long as Generators
-# (512-row blocks, numpy 2.4 on a 2-vCPU Xeon host).
+# The batch's cost grows with a row's draws faster than a Generator's: for
+# haar rows of 16, 24, 32, 40 and 64 draws it took 0.39, 0.62, 0.85, 1.04
+# and 1.66 times as long (512-row blocks, numpy 2.4 on a 2-vCPU Xeon host).
 _BATCH_DRAWS = 32
+_ACCEPT_BAND = 1e-12  # relative to exp(-x**2 / 2): fi is derived, and exp is libm's
 
 
 @functools.cache
@@ -463,6 +470,14 @@ def _ziggurat(r, wi, ki):
     return x, rabs < ki[idx]
 
 
+def _accepts(idx, x, r, fi):
+    """(keep, settled): numpy's rejection step on the slow draws x of layers
+    idx >= 1 with the uniforms of the raw outputs r, and where fi settles it."""
+    lhs = (fi[idx - 1] - fi[idx]) * ((r >> np.uint64(11)) * 2.0**-53) + fi[idx]
+    rhs = np.exp(-0.5 * x * x)
+    return lhs < rhs, np.abs(lhs - rhs) > _ACCEPT_BAND * rhs
+
+
 def _draw_row(row, rng, n, phase):
     """n standard normals from rng into row, then a uniform phase on [0, 2 pi) if phase."""
     rng.standard_normal(out=row[:n])
@@ -470,16 +485,34 @@ def _draw_row(row, rng, n, phase):
         row[n] = rng.uniform(0.0, 2.0 * math.pi)
 
 
-def _fast_rows(words, n, phase, wi, ki):
-    """(out, fast): the batched rows of ``_draws`` with the tables (wi, ki),
-    and which rows drew every normal on the fast path, so are final."""
-    r = _pcg64_outputs(words, n + phase)
-    x, fast = _ziggurat(r[:n], wi, ki)
+def _fast_rows(words, n, phase, wi, ki, fi):
+    """(out, final): the batched rows of ``_draws`` with the tables (wi, ki, fi),
+    and which rows are final: all their normals on the fast path, or all but
+    one that the rejection step settles."""
+    r = _pcg64_outputs(words, n + phase + 2)
+    x, fast = _ziggurat(r, wi, ki)
+    final = fast[:n].all(axis=0)
     out = np.empty((len(words), n + phase))
-    out[:, :n] = x.T
+    out[:, :n] = x[:n].T
+    at = r[n].copy()  # the output each phase reads
+    rows = np.flatnonzero(~final)
+    if rows.size:  # one-row blocks mostly skip this
+        # a row's first slow draw p reads u at p + 1, and its normals then use
+        # the outputs to n + 1 but u, and but x if rejected or n + 1 if kept
+        p = np.argmin(fast[:n, rows], axis=0)
+        idx = (r[p, rows] & np.uint64(0xFF)).astype(np.intp)
+        keep, settled = _accepts(idx, x[p, rows], r[p + 1, rows], fi)
+        use, cols = np.ones((n + 2, len(rows)), bool), np.arange(len(rows))
+        use[p + 1, cols] = use[np.where(keep, n + 1, p), cols] = False
+        settled &= (idx > 0) & ((use & ~fast[:n + 2, rows]).sum(axis=0) == keep)
+        rows, use, keep = rows[settled], use[:, settled], keep[settled]
+        final[rows] = True
+        out[rows, :n] = x[:n + 2, rows].T[use.T].reshape(-1, n)
+        if phase:
+            at[rows] = r[n + 2 - keep, rows]
     if phase:
-        out[:, n] = 2.0 * math.pi * ((r[n] >> np.uint64(11)) * 2.0**-53)
-    return out, fast.all(axis=0)
+        out[:, n] = 2.0 * math.pi * ((at >> np.uint64(11)) * 2.0**-53)
+    return out, final
 
 
 def _draws(words, n, phase):
@@ -487,16 +520,16 @@ def _draws(words, n, phase):
     ``Generator(PCG64(_StateWords(words[k])))``.
 
     Rows of at most _BATCH_DRAWS draws are drawn at once with numpy's
-    ziggurat tables (``_ziggurat_tables``), and only the rows with a slow
-    draw are redrawn; longer rows are all drawn by their Generators.
+    ziggurat tables (``_ziggurat_tables``), and only the rows this leaves
+    open are redrawn; longer rows are all drawn by their Generators.
     """
     if n + phase <= _BATCH_DRAWS:
-        out, fast = _fast_rows(words, n, phase, *_ziggurat_tables())
+        out, final = _fast_rows(words, n, phase, *_ziggurat_tables())
     else:
-        out, fast = np.empty((len(words), n + phase)), np.zeros(len(words), bool)
+        out, final = np.empty((len(words), n + phase)), np.zeros(len(words), bool)
     # a fresh Generator a row: setting one reused Generator through the PCG64
     # state setter took longer (3.81 against 2.71 us a row of 16 normals)
-    for k in np.flatnonzero(~fast):
+    for k in np.flatnonzero(~final):
         _draw_row(out[k], np.random.Generator(np.random.PCG64(_StateWords(words[k]))), n, phase)
     return out
 
@@ -504,43 +537,69 @@ def _draws(words, n, phase):
 _MULT_INV = pow(_PCG_MULT, -1, _MOD128)
 
 
-def _numpy_normal(gen, r):
-    """numpy's standard normal when PCG64's next output is r, and whether it read r alone.
-
-    With increment 1 the state (r - 1) / M steps to r, whose output is r.
-    """
+def _numpy_normal(gen, r, v=None):
+    """numpy's standard normal when PCG64's next outputs are r, then v if given,
+    and whether it read no more.  PCG64 steps S to S M + inc, and a state below
+    2**64 outputs itself: with increment 1 the state (r - 1) / M outputs r; for
+    v, an odd increment steps r on to h << 64 | v ^ h, which outputs v."""
+    last, inc = r, 1
+    if v is not None:
+        h = (v ^ r ^ 1) & 1  # the parity that makes inc odd
+        last = h << 64 | v ^ h
+        inc = (last - r * _PCG_MULT) % _MOD128
     gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                               "state": {"state": (r - 1) * _MULT_INV % _MOD128, "inc": 1}}
+                               "state": {"state": (r - inc) * _MULT_INV % _MOD128, "inc": inc}}
     x = gen.standard_normal()
-    return x, gen.bit_generator.state["state"]["state"] == r
+    return x, gen.bit_generator.state["state"]["state"] == last
+
+
+def _numpy_keeps(gen, idx, wi, ki, fi):
+    """Whether numpy and ``_accepts`` keep a slow draw of layer idx >= 1,
+    mid-way past ki, at a u just below its accept threshold under fi, and
+    reject it just above, both outside the band."""
+    r = ((int(ki[idx]) + (1 << 52)) // 2) << 9 | idx
+    x = (r >> 9) * wi[idx]
+    rhs = np.exp(-0.5 * x * x)
+    for keep, side in ((True, -2), (False, 2)):
+        u = (rhs - fi[idx] + side * _ACCEPT_BAND * rhs) / (fi[idx - 1] - fi[idx])
+        if not 0 <= u < 1:
+            return False
+        v = int(u * 2**53) << 11
+        numpy_x, alone = _numpy_normal(gen, r, v)
+        if _accepts(idx, x, np.uint64(v), fi) != (keep, True) or (alone and numpy_x == x) != keep:
+            return False
+    return True
 
 
 @functools.cache
 def _ziggurat_tables():
-    """numpy's ziggurat tables (wi, ki): wi read back from numpy, ki from wi by its rule.
+    """numpy's ziggurat tables (wi, ki, fi): wi read back from numpy, ki and fi from wi.
 
     wi[idx] is the draw at rabs = 1.  Raises RuntimeError unless numpy reads
     one output at rabs = ki - 1 and more at ki in every layer (at 0 only in
-    layer 1), and the batched rows of 16 fast normals and a phase are those
-    of numpy's Generators.
+    layer 1), ``_numpy_keeps`` holds in every layer idx >= 1, and the
+    batched rows of 16 normals and a phase are those of numpy's Generators.
     """
     gen = np.random.Generator(np.random.PCG64(0))
     wi = np.array([_numpy_normal(gen, 1 << 9 | idx)[0] for idx in range(256)])
     ki = np.rint(np.roll(wi, 1) / wi * 2.0**52).astype(np.uint64)
     ki[1] = 0
+    fi = np.exp(-0.5 * (wi * 2.0**52) ** 2)
+    fi[0] = 1.0
     off = [idx for idx, k in enumerate(ki.tolist()) if _numpy_normal(gen, k << 9 | idx)[1]
-           or (k and not _numpy_normal(gen, (k - 1) << 9 | idx)[1])]
-    got, fast = _fast_rows(stream_words(0, 0, 16), 16, True, wi, ki)
+           or (k and not _numpy_normal(gen, (k - 1) << 9 | idx)[1])
+           or (idx and not _numpy_keeps(gen, idx, wi, ki, fi))]
+    got, final = _fast_rows(stream_words(1, 0, 16), 16, True, wi, ki, fi)
     want = np.empty_like(got)
     for k, row in enumerate(want):
-        _draw_row(row, np.random.Generator(np.random.PCG64(np.random.SeedSequence((0, k)))), 16, True)
-    if off or got[fast].tobytes() != want[fast].tobytes():
+        _draw_row(row, np.random.Generator(np.random.PCG64(np.random.SeedSequence((1, k)))), 16, True)
+    if off or got[final].tobytes() != want[final].tobytes():
         raise RuntimeError(f"the batched draw does not reproduce numpy {np.__version__}'s "
                            "PCG64 normals; its PCG64 or ziggurat differs from the one this "
-                           f"code follows (fast-path boundaries off in layers {off})")
-    wi.setflags(write=False)
-    ki.setflags(write=False)
-    return wi, ki
+                           f"code follows (fast-path or accept boundaries off in layers {off})")
+    for table in (wi, ki, fi):
+        table.setflags(write=False)
+    return wi, ki, fi
 
 
 _AXIS = {"A": 0, "B": 1, "C": 2}
@@ -587,7 +646,10 @@ def load_state(path) -> PureTripartiteState:
             raise TypeError("amplitude parts must be numbers, got a boolean")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateError(f"{path}: malformed state document ({exc})") from exc
-    return pure_state_new(dims, amps)
+    try:
+        return pure_state_new(dims, amps)
+    except StateError as exc:
+        raise StateError(f"{path}: {exc}") from exc
 
 
 def save_state(state: PureTripartiteState, path):

@@ -320,7 +320,7 @@ class TestRejectedInputs:
         p.write_bytes(doc)
         code, out, err = run_cli(["analyze", "--state", str(p), "--measure", "c"], capsys)
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {p}: ")
         assert out == ""
 
     @pytest.mark.parametrize("doc", [

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +592,35 @@ def _constructor_state(dims, family, seq):
     return from_schmidt(SchmidtParams(tuple(lam), rng.uniform(0.0, 2.0 * math.pi)))
 
 
+def _outputs_read(row, n, phase):
+    """How many PCG64 outputs the Generator seeded with the words row reads
+    for n normals, then a phase if phase."""
+    gen = np.random.Generator(np.random.PCG64(_StateWords(row)))
+    states._draw_row(np.empty(n + phase), gen, n, phase)
+    ref = np.random.PCG64(_StateWords(row))
+    for k in count(1):
+        ref.random_raw()
+        if ref.state == gen.bit_generator.state:
+            return k
+
+
+def _record_redraws(monkeypatch, words):
+    """A list that fills with the indices of the rows of words that
+    ``states._draws`` then redraws by a Generator."""
+    states._ziggurat_tables()  # its self-check draws other streams
+    seeded = {np.random.PCG64(_StateWords(row)).state["state"]["state"]: k
+              for k, row in enumerate(words)}
+    redrawn = []
+    draw_row = states._draw_row
+
+    def recorded(row, rng, n, phase):
+        redrawn.append(seeded[rng.bit_generator.state["state"]["state"]])
+        draw_row(row, rng, n, phase)
+
+    monkeypatch.setattr(states, "_draw_row", recorded)
+    return redrawn
+
+
 class TestChunkSampling:
     @pytest.mark.parametrize("dims,family", [
         ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
@@ -649,7 +679,7 @@ class TestChunkSampling:
     def test_ziggurat_tables_match_numpy_at_boundaries(self):
         # numpy's draw on a chosen output r, set through the PCG64 state setter:
         # with increment 1 the state (r - 1) / M steps to r, whose output is r
-        wi, ki = states._ziggurat_tables()
+        wi, ki, _ = states._ziggurat_tables()
         gen = np.random.Generator(np.random.PCG64(1))
         inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
         for idx in range(256):
@@ -672,50 +702,87 @@ class TestChunkSampling:
     def test_all_rows_redrawn(self, monkeypatch, dims, family):
         # with every draw off the fast path, every row is its own Generator's
         want = numpy_family_rows(dims, family, [(19, i) for i in range(512)])
-        wi, ki = states._ziggurat_tables()
-        monkeypatch.setattr(states, "_ziggurat_tables", lambda: (wi, np.zeros_like(ki)))
-        redrawn = []
-        draw_row = states._draw_row
+        words = stream_words(19, 0, 512)
+        redrawn = _record_redraws(monkeypatch, words)
+        wi, ki, fi = states._ziggurat_tables()
+        monkeypatch.setattr(states, "_ziggurat_tables", lambda: (wi, np.zeros_like(ki), fi))
+        assert family_rows(dims, family, words).tobytes() == want.tobytes()
+        assert redrawn == list(range(512))
 
-        def counted(row, rng, n, phase):
-            redrawn.append(n)
-            draw_row(row, rng, n, phase)
-
-        monkeypatch.setattr(states, "_draw_row", counted)
-        assert family_rows(dims, family, stream_words(19, 0, 512)).tobytes() == want.tobytes()
-        assert len(redrawn) == 512
-
-    def test_tail_and_idx1_rows(self):
-        # block whose row 5 first leaves the fast path in the tail (idx 0) and
-        # row 6 at idx 1, which has no fast path
-        rows = stream_words(36, 0, 8)
+    def test_tail_and_idx1_rows(self, monkeypatch):
+        # block whose row 5 first leaves the fast path in the tail (idx 0),
+        # row 6 at idx 1, which has no fast path, and row 66 twice: the tail
+        # and the second slow draw take a Generator, idx 1 the rejection step
+        rows = stream_words(36, 0, 67)
         r = states._pcg64_outputs(rows, 16)
-        for i in range(8):
+        for i in (0, 5, 6, 66):
             ref = np.random.PCG64(np.random.SeedSequence((36, i)))
             assert r[:, i].tobytes() == ref.random_raw(16).tobytes()
-        _, fast = states._ziggurat(r, *states._ziggurat_tables())
-        first_slow = {i: int(r[np.flatnonzero(~fast[:, i])[0], i] & 0xFF)
-                      for i in range(8) if not fast[:, i].all()}
-        assert first_slow[5] == 0 and first_slow[6] == 1
+        _, fast = states._ziggurat(r, *states._ziggurat_tables()[:2])
+        slow = {i: (r[~fast[:, i], i] & np.uint64(0xFF)).tolist() for i in (5, 6, 66)}
+        assert slow[5][0] == 0 and slow[6][0] == 1 and len(slow[66]) == 2
+        redrawn = _record_redraws(monkeypatch, rows)
         assert (family_rows((2, 2, 2), "haar", rows).tobytes()
-                == numpy_family_rows((2, 2, 2), "haar", [(36, i) for i in range(8)]).tobytes())
+                == numpy_family_rows((2, 2, 2), "haar", [(36, i) for i in range(67)]).tobytes())
+        assert 5 in redrawn and 66 in redrawn and 6 not in redrawn
+
+    @pytest.mark.parametrize("family,seed,kept,rejected", [
+        ("schmidt", 5, [13], [6]), ("haar", 1, [9, 11], [2, 7]),
+    ])
+    def test_rejection_step_rows(self, monkeypatch, family, seed, kept, rejected):
+        # numpy's rejection step reads one output more for a slow draw it keeps
+        # and two more for one it rejects: the batch settles both kinds with no
+        # Generator, and a schmidt row's phase moves on by as many outputs
+        n, phase = (5, True) if family == "schmidt" else (16, False)
+        words = stream_words(seed, 0, 16)
+        extra = [_outputs_read(row, n, phase) - n - phase for row in words]
+        assert [k for k, e in enumerate(extra) if e == 1] == kept
+        assert [k for k, e in enumerate(extra) if e == 2] == rejected
+        assert all(e <= 2 for e in extra)
+        redrawn = _record_redraws(monkeypatch, words)
+        assert (family_rows((2, 2, 2), family, words).tobytes()
+                == numpy_family_rows((2, 2, 2), family, [(seed, i) for i in range(16)]).tobytes())
+        assert redrawn == []
+
+    def test_few_rows_redrawn(self, monkeypatch):
+        # 20 of seed 1001's first 512 (2,2,2) haar rows reach a Generator;
+        # 112 did while every slow draw sent its row there
+        words = stream_words(1001, 0, 512)
+        redrawn = _record_redraws(monkeypatch, words)
+        assert (family_rows((2, 2, 2), "haar", words).tobytes()
+                == numpy_family_rows((2, 2, 2), "haar", [(1001, i) for i in range(512)]).tobytes())
+        assert len(redrawn) <= 24
 
     def test_tables_checked_against_numpy(self, monkeypatch):
         # a numpy whose fast path ends elsewhere than ki fails the probes on
         # both sides of the boundaries: every draw reading one output, or the
         # output at ki or at ki - 1 of layer 77 read the wrong way
-        wi, ki = states._ziggurat_tables()
+        wi, ki, _ = states._ziggurat_tables()
         at, below = int(ki[77]) << 9 | 77, int(ki[77] - 1) << 9 | 77
         numpy_normal = states._numpy_normal
         for moved, layers in ((None, list(range(256))), (at, [77]), (below, [77])):
-            def probe(gen, r):
-                x, alone = numpy_normal(gen, r)
+            def probe(gen, r, *v):
+                x, alone = numpy_normal(gen, r, *v)
                 return x, moved is None or alone != (r == moved)
 
             monkeypatch.setattr(states, "_numpy_normal", probe)
             with pytest.raises(RuntimeError, match="does not reproduce numpy") as exc:
                 states._ziggurat_tables.__wrapped__()
             assert str(exc.value).endswith(f"layers {layers})"), moved
+
+    def test_accept_thresholds_checked_against_numpy(self):
+        # the rejection-step probe passes the derived fi in every layer, and
+        # fails fi shifted by one layer, or with fi[0] left to the rule, in
+        # every layer that the change moves
+        wi, ki, fi = states._ziggurat_tables()
+        gen = np.random.Generator(np.random.PCG64(1))
+        unset = fi.copy()
+        unset[0] = np.exp(-0.5 * (wi[0] * 2.0**52) ** 2)
+        layers = range(1, 256)
+        assert all(states._numpy_keeps(gen, idx, wi, ki, fi) for idx in layers)
+        for shift in (1, -1):
+            assert not any(states._numpy_keeps(gen, idx, wi, ki, np.roll(fi, shift)) for idx in layers)
+        assert not states._numpy_keeps(gen, 1, wi, ki, unset)
 
     @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
     def test_state_words_hold_pcg64_seed_only(self, n_words, dtype):
