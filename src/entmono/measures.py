@@ -139,6 +139,19 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # again).  Everything runs elementwise or per matrix, so one state and a
 # batch agree bit for bit, and the Newton steps can run on the live
 # searches only.
+#
+# The quadratic form also screens the grid; the minor form decides.  With
+# nu = ||psi||^2 and u = 2^-53, each form gives det M(n) within a few dozen
+# u nu^2: the 16 terms of (1, n) k (1, n) have moduli summing to at most
+# nu^2, the squared minors to at most nu^2 / 2, and each term is a product
+# of a few amplitudes rounded a few times.  Take delta = 2^-40 nu^2, over 64
+# times that.  As det M >= 0 and |sqrt a - sqrt b| <= sqrt |a - b|, the
+# screen sqrt Q(n)+ + sqrt Q(-n)+ lies within e = 2 sqrt(delta) = 2^-19 nu
+# of half the minor-form value.  So each of a state's best _STARTS grid
+# points screens at least its third-best screen value minus 2e, and the
+# minor form runs at the points that do: the argmax passes over them pick
+# the starts and values of the full grid.  The margin and the gain
+# tolerance scale with nu, so a row's search is the same at any scale.
 
 
 def _norm2(t) -> np.ndarray:
@@ -226,11 +239,15 @@ def _ket_monomials(n):
 # The objective is even in n, so the grid covers the upper hemisphere only.
 _GRID = _hemisphere(64)  # as dense as a 128-point grid on the whole sphere
 _GRID_KETS = _ket_monomials(_GRID)
+# (1, n_i n_j, 2 n_i) for each grid point n, then for -n: against (c, A, b)
+# these give Q(n) and Q(-n) side by side
+_GRID_MONOMIALS = np.vstack([np.ones(128), np.tile((_GRID[:, None] * _GRID).reshape(9, 64), 2),
+                             2.0 * np.hstack([_GRID, -_GRID])])
+_SCREEN_MARGIN = 2.0 ** -18  # 2e per unit ||psi||^2: twice the screen's error bound (see above)
 _STARTS = 3          # best grid points refined per state
 _NEWTON_STEPS = 8    # at most; on Haar states a search converges in 4 to 6
 _RADIUS = 0.3        # first trust radius, about the grid spacing
-_GAIN_TOL = 1e-15    # a step that promises less ends a search: the value is final
-_GRID_BLOCK = 64     # states per grid evaluation, which bounds its temporaries
+_GAIN_TOL = 1e-15    # per unit ||psi||^2: a step that promises less ends a search
 _SIGNS = np.array([1.0, -1.0])[:, None, None]  # the outcomes n and -n
 
 
@@ -238,8 +255,8 @@ def _det_form(psi):
     """(c, A, b) with det M(n) = c + n.A n + 2 b.n for psi (N, 2, dP, 2).
 
     psi has axes A, partner, assistant; c, A and b have shapes (N,),
-    (3, 3, N) and (3, N).  This form gives the derivatives; it cancels where
-    det M is small, so values come from _minor_form.
+    (3, 3, N) and (3, N).  This form gives the derivatives and screens the
+    grid; it cancels where det M is small, so values come from _minor_form.
     """
     def pauli(a, b):  # Tr(G sigma_mu) for G[x, y] = sum_p psi[a, p, x] conj(psi[b, p, y])
         g = sum(psi[:, a, p, :, None] * psi[:, b, p, None, :].conj() for p in range(psi.shape[2]))
@@ -294,18 +311,18 @@ def _ascent_step(n, c, quad, lin, radius):
     v = n[[1, 2, 0]] * u[[2, 0, 1]] - n[[2, 0, 1]] * u[[1, 2, 0]]
     frame = np.stack([n, u, v])
     af = _sum3(quad * frame[:, None])            # A n, A u, A v
-    gram = _sum3(frame[:, None] * af[None])      # gram[i, j] = frame_i . A frame_j
+    an = _sum3(frame * af[0])                    # n . A n, u . A n, v . A n
     ll = _sum3(lin * frame)                      # b . n, b . u, b . v
-    root = np.sqrt(c + gram[0, 0] + _SIGNS * 2.0 * ll[0])  # sqrt Q(n), sqrt Q(-n)
-    d = 2.0 * (gram[:, 0] + _SIGNS[:, None] * ll)          # their derivatives along n, u, v
+    root = np.sqrt(c + an[0] + _SIGNS * 2.0 * ll[0])  # sqrt Q(n), sqrt Q(-n)
+    d = 2.0 * (an + _SIGNS[:, None] * ll)        # their derivatives along n, u, v
     g = d / root[:, None]
     g = g[0] + g[1]                              # gradient of 2 sqrt Q(n) + 2 sqrt Q(-n)
-    dt = d[:, 1:]
-    h = 2.0 * gram[1:, 1:] / root[:, None, None] - dt[:, :, None] * dt[:, None] * (
-        0.5 / (root * root * root))[:, None, None]
+    i, j = [1, 1, 2], [1, 2, 2]                  # the Hessian entries uu, uv and vv
+    h = 2.0 * _sum3(frame[i] * af[j]) / root[:, None] - d[:, i] * d[:, j] * (
+        0.5 / (root * root * root))[:, None]
     h = h[0] + h[1]
     g_u, g_v = g[1], g[2]
-    h_uu, h_uv, h_vv = h[0, 0] - g[0], h[0, 1], h[1, 1] - g[0]  # the sphere's curvature term
+    h_uu, h_uv, h_vv = h[0] - g[0], h[1], h[2] - g[0]  # the sphere's curvature term
     top = 0.5 * (h_uu + h_vv + np.sqrt((h_uu - h_vv) ** 2 + 4.0 * h_uv * h_uv))
     det = h_uu * h_vv - h_uv * h_uv
     s_u, s_v = (h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det
@@ -337,14 +354,25 @@ def _assistant_search(psi) -> np.ndarray:
         psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
     c0, quad0, lin0 = _det_form(psi)
     t0 = _minor_form(psi)
-    grid = np.concatenate([_average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t0], _GRID_KETS)
-                           for k in range(0, len(psi), _GRID_BLOCK)])
+    nu = _norm2(psi)
+    # the screen sqrt Q(n)+ + sqrt Q(-n)+ on the grid, half the objective, in place
+    q = np.concatenate([c0[:, None], quad0.reshape(9, -1).T, lin0.T], axis=1) @ _GRID_MONOMIALS
+    np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+    grid = q[:, :64]
+    grid += q[:, 64:]
+    # the minor form where the screen leaves a rank open (see above), -inf elsewhere
+    floor = np.partition(grid, -_STARTS, axis=1)[:, -_STARTS] - _SCREEN_MARGIN * nu
+    rows, points = np.nonzero(grid >= floor[:, None])
+    grid.fill(-np.inf)
+    grid[rows, points] = _average_concurrence([x[:, rows, 0] for x in t0],
+                                              [[m[points] for m in ket] for ket in _GRID_KETS])
     # the best _STARTS grid points, ties to the lower index: one argmax pass each
     rows, top, best = np.arange(len(psi)), [], []
     for _ in range(_STARTS):
         top.append(k := grid.argmax(axis=1))
         best.append(grid[rows, k])
         grid[rows, k] = -np.inf
+    del q, grid  # not held through the steps
     # one flat axis of searches, state * _STARTS + start
     n, best = _GRID[:, np.stack(top, axis=1).ravel(), None], np.stack(best, axis=1).reshape(-1, 1)
     radius = np.full(best.shape, _RADIUS)
@@ -356,6 +384,7 @@ def _assistant_search(psi) -> np.ndarray:
                 own = live // _STARTS
                 c, quad, lin = c0[own, None], quad0[..., own, None], lin0[..., own, None]
                 t = [x[:, own] for x in t0]
+                tol = _GAIN_TOL * nu[own, None]
             step, length, gain = _ascent_step(n, c, quad, lin, radius)
             trial = n + step
             trial = trial / np.sqrt(_sum3(trial * trial))
@@ -365,7 +394,7 @@ def _assistant_search(psi) -> np.ndarray:
             best = np.where(up, value, best)
             radius = np.where(up, 2.0 * radius, 0.25 * length)
             found[live] = best.ravel()
-            going = (gain > _GAIN_TOL).ravel()
+            going = (gain > tol).ravel()
             if not going.all():  # the searches that stop here are final: drop them
                 if not going.any():
                     break

@@ -1,8 +1,8 @@
 """References that tests hold the batch code to; no package path calls them.
 
 Mixed-state formulas on density matrices, the extended-precision three-qubit
-kernel, the dense assistant search, and family states drawn from numpy's own
-Generators.
+kernel, the dense assistant search and its full-Gram ascent step, and family
+states drawn from numpy's own Generators.
 """
 
 import numpy as np
@@ -72,21 +72,67 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
     return formation_of_concurrence(wootters_concurrence(rho))
 
 
+def full_gram_ascent_step(n, c, quad, lin, radius):
+    """measures._ascent_step as it was, with the full 3x3 Gram matrix and 2x2 Hessian.
+
+    The package's step computes only the entries the step reads, each by
+    the same operations in the same order, so the two agree bit for bit.
+    """
+    x, y, z = n
+    polar = np.abs(z) > 0.9  # tangent basis u, v = n x u
+    zero = np.zeros_like(z)
+    u = np.where(polar, np.stack([zero, -z, y]), np.stack([-y, x, zero]))
+    u = u / np.sqrt(m._sum3(u * u))
+    v = n[[1, 2, 0]] * u[[2, 0, 1]] - n[[2, 0, 1]] * u[[1, 2, 0]]
+    frame = np.stack([n, u, v])
+    af = m._sum3(quad * frame[:, None])            # A n, A u, A v
+    gram = m._sum3(frame[:, None] * af[None])      # gram[i, j] = frame_i . A frame_j
+    ll = m._sum3(lin * frame)                      # b . n, b . u, b . v
+    root = np.sqrt(c + gram[0, 0] + m._SIGNS * 2.0 * ll[0])  # sqrt Q(n), sqrt Q(-n)
+    d = 2.0 * (gram[:, 0] + m._SIGNS[:, None] * ll)          # their derivatives along n, u, v
+    g = d / root[:, None]
+    g = g[0] + g[1]                                # gradient of 2 sqrt Q(n) + 2 sqrt Q(-n)
+    dt = d[:, 1:]
+    h = 2.0 * gram[1:, 1:] / root[:, None, None] - dt[:, :, None] * dt[:, None] * (
+        0.5 / (root * root * root))[:, None, None]
+    h = h[0] + h[1]
+    g_u, g_v = g[1], g[2]
+    h_uu, h_uv, h_vv = h[0, 0] - g[0], h[0, 1], h[1, 1] - g[0]  # the sphere's curvature term
+    top = 0.5 * (h_uu + h_vv + np.sqrt((h_uu - h_vv) ** 2 + 4.0 * h_uv * h_uv))
+    det = h_uu * h_vv - h_uv * h_uv
+    s_u, s_v = (h_uv * g_v - h_vv * g_u) / det, (h_uv * g_u - h_uu * g_v) / det
+    fits = (top < 0) & (s_u * s_u + s_v * s_v <= radius * radius)
+    sigma = np.maximum(top, 0.0) + np.sqrt(g_u * g_u + g_v * g_v) / radius
+    h_uu, h_vv = h_uu - sigma, h_vv - sigma
+    det = h_uu * h_vv - h_uv * h_uv
+    s_u = np.where(fits, s_u, (h_uv * g_v - h_vv * g_u) / det)
+    s_v = np.where(fits, s_v, (h_uv * g_u - h_uu * g_v) / det)
+    return s_u * u + s_v * v, np.sqrt(s_u * s_u + s_v * s_v), g_u * s_u + g_v * s_v
+
+
+_GRID_BLOCK = 64  # states per grid evaluation, which bounds its temporaries
+
+
 def dense_assistant_search(psi) -> np.ndarray:
     """measures._assistant_search with every search kept through every step.
 
-    The (N, _STARTS) searches step together until none is active; one that
-    has stopped is carried along, masked out of each update.  The starts
-    come from a stable argsort of the grid.
+    The independent reference for the package's search.  It evaluates the
+    minor form at every grid point, in blocks of _GRID_BLOCK states, where
+    the package evaluates it only where its det-form screen leaves a point's
+    rank open, and it steps with full_gram_ascent_step.  The (N, _STARTS)
+    searches step together until none is active; one that has stopped is
+    carried along, masked out of each update.  The starts come from a
+    stable argsort of the grid.
     """
     if psi.shape[2] > 4:
         r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
         psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
     c, quad, lin = m._det_form(psi)
     t = m._minor_form(psi)
-    grid = np.concatenate([m._average_concurrence([x[:, k:k + m._GRID_BLOCK] for x in t],
-                                                  m._GRID_KETS)
-                           for k in range(0, len(psi), m._GRID_BLOCK)])
+    tol = m._GAIN_TOL * m._norm2(psi)[:, None]
+    kets = m._ket_monomials(m._GRID)
+    grid = np.concatenate([m._average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t], kets)
+                           for k in range(0, len(psi), _GRID_BLOCK)])
     top = np.argsort(-grid, axis=1, kind="stable")[:, :m._STARTS]
     n, best = m._GRID[:, top], np.take_along_axis(grid, top, axis=1)
     c, quad, lin = c[:, None], quad[..., None], lin[..., None]
@@ -94,7 +140,7 @@ def dense_assistant_search(psi) -> np.ndarray:
     active = np.ones(best.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(m._NEWTON_STEPS):
-            step, length, gain = m._ascent_step(n, c, quad, lin, radius)
+            step, length, gain = full_gram_ascent_step(n, c, quad, lin, radius)
             trial = n + step
             trial = trial / np.sqrt(m._sum3(trial * trial))
             value = m._average_concurrence(t, m._ket_monomials(trial))
@@ -102,7 +148,7 @@ def dense_assistant_search(psi) -> np.ndarray:
             n = np.where(up, trial, n)
             best = np.where(up, value, best)
             radius = np.where(up, 2.0 * radius, 0.25 * length)
-            active &= gain > m._GAIN_TOL
+            active &= gain > tol
             if not active.any():
                 break
     return best.max(axis=1)

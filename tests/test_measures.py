@@ -25,8 +25,10 @@ from entmono import (
 )
 from entmono.measures import (
     LOG2_3,
+    _ascent_step,
     _assistant_search,
     _cut_concurrence,
+    _det_form,
     _measure_triples,
     _spinflip_values,
     assisted_concurrence,
@@ -35,8 +37,8 @@ from entmono.measures import (
 )
 from entmono.states import family_rows, stream_words
 from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
-                       spinflip_kernel, spinflip_sqrt_spectrum, von_neumann_entropy,
-                       wootters_concurrence)
+                       full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum,
+                       von_neumann_entropy, wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -572,6 +574,56 @@ class TestAssistedSearch:
             assert live[k] == _assistant_search(psi[k:k + 1])[0]
         assert live[1] == pytest.approx(1.0, abs=1e-15)
         assert live[2] == pytest.approx(0.0, abs=1e-15)
+
+    @staticmethod
+    def _tied_rows(dims):
+        """Tied or flat (2,2,3) rows, embedded in dims (2,2,d) or (2,d,2), then Haar rows."""
+        t = np.zeros((5, 2, 2, 3), dtype=complex)
+        t[0] = example_223().tensor
+        t[1, 0, 0, 0] = t[1, 1, 0, 1] = S2                  # Bell pair on A|C, B in |0>
+        rng = np.random.default_rng(5)
+        a, bc = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 6))
+        t[2] = np.kron(a, bc).reshape(2, 2, 3) / np.linalg.norm(a) / np.linalg.norm(bc)
+        t[3, 0, 0, 1] = t[3, 0, 1, 0] = t[3, 1, 0, 0] = S3  # W-like
+        t[4, 0, 0, 0] = t[4, 1, 1, 2] = S2                  # GHZ-like
+        if dims[1] != 2:
+            t = t.swapaxes(2, 3)  # the qutrit in B's place, C the assistant
+        wide = np.zeros((5,) + dims, dtype=complex)
+        wide[:, :, :t.shape[2], :t.shape[3]] = t
+        return np.concatenate([wide.reshape(5, -1), family_rows(dims, "haar", stream_words(62, 0, 8))])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
+    def test_screen_equals_full_grid(self, dims):
+        # the det form screens the grid and the minor form runs only where a
+        # rank is open: on tied and flat rows, and at any scale, the starts
+        # and values are those of the full grid
+        psi = self._searched(dims, self._tied_rows(dims))
+        values = _assistant_search(psi)
+        for scale in (1.0, 2.0 ** 30, 2.0 ** -30):
+            scaled = _assistant_search(scale * psi)
+            assert scaled.tobytes() == dense_assistant_search(scale * psi).tobytes()
+            assert scaled.tobytes() == (scale * scale * values).tobytes()
+
+    def test_step_equals_full_gram(self):
+        # the step computes only the Gram and Hessian entries it reads, each
+        # by the operations the full matrices used
+        psi = self._searched((2, 2, 3), family_rows((2, 2, 3), "haar", stream_words(63, 0, 64)))
+        psi[:8, ..., 1] = 0.0   # Q(-z) = 0
+        psi[8:16, ..., 0] = 0.0  # Q(z) = 0
+        c, quad, lin = _det_form(psi)
+        rng = np.random.default_rng(7)
+        n = rng.standard_normal((3, 64, 5))
+        n[2, :, :2] *= 10.0  # mostly polar frames
+        n /= np.sqrt((n * n).sum(axis=0))
+        n[:, :16, 0] = [[0.0], [0.0], [1.0]]
+        radius = rng.uniform(0.01, 0.6, (64, 5))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            got = _ascent_step(n, c[:, None], quad[..., None], lin[..., None], radius)
+            want = full_gram_ascent_step(n, c[:, None], quad[..., None], lin[..., None], radius)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert 0 < (np.abs(n[2]) > 0.9).sum() < n[2].size
+        assert not np.isfinite(want[2][:16, 0]).any()
 
     def test_needs_qubit_assistant(self):
         # the ca triple's rule decides which pair values exist: a qubit partner
