@@ -33,17 +33,13 @@ from .monogamy import (
     SweepReport,
     XKind,
     XSolution,
-    alpha_from_bound,
     beta_curves,
     certify_per_state,
     certify_relaxed,
-    is_theorem2_witness,
     min_alpha,
     residual,
     solve_x,
     sweep,
-    theorem3_alpha,
-    theorem3_alpha_relaxed,
 )
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
     sol = monogamy.solve_x(t, args.y, args.eps)
     witness = sol.kind is monogamy.XKind.UNBOUNDED
     try:
-        thm3 = {"alpha": monogamy.theorem3_alpha(t)}
+        thm3 = {"alpha": monogamy.certify_per_state(t).alpha}
     except monogamy.DomainError as exc:
         thm3 = {"error": str(exc)}
     alpha = monogamy.min_alpha(t, eps=args.eps)
@@ -176,10 +176,12 @@ def cmd_sweep(args) -> int:
 def cmd_certify(args) -> int:
     descriptor, mid, t = _source_triple(args)
     if args.mode == "thm3":
+        if args.c is not None:
+            raise monogamy.DomainError("--c applies to relaxed mode only")
         cert = monogamy.certify_per_state(t)
+    elif args.c is None:
+        raise monogamy.DomainError("relaxed mode needs --c")
     else:
-        if args.c is None:
-            raise monogamy.DomainError("relaxed mode needs --c")
         cert = monogamy.certify_relaxed(t, args.c)
     print(json.dumps({
         "state": descriptor,

@@ -65,7 +65,6 @@ class CertificateKind(enum.Enum):
     THEOREM1_BOUND = "empirical-x-bound"
     THEOREM3_PER_STATE = "per-state-exponent"
     THEOREM3_RELAXED = "relaxed-base"
-    THEOREM2_WITNESS = "non-monogamy-witness"
 
 
 @dataclass(frozen=True)
@@ -149,45 +148,6 @@ def residual(t: MeasureTriple, alpha: float) -> float:
     if not math.isfinite(r):
         raise DomainError(f"residual at alpha={alpha} overflows for triple {t.as_tuple()}")
     return r
-
-
-def alpha_from_bound(m_bound: float, y0: float) -> float:
-    """Monogamy exponent max(M * y0, y0) implied by an x-bound M at y0."""
-    if not (m_bound >= 0 and 0 < y0 < math.inf):
-        raise DomainError(f"need M >= 0 and finite y0 > 0, got M={m_bound}, y0={y0}")
-    return max(m_bound * y0, y0)
-
-
-def per_state_base(t: MeasureTriple) -> float:
-    """The ratio b = E(A|BC) / max(E(AB), E(AC)) used by the per-state exponent."""
-    cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
-    if lo <= 0 or cut <= hi:
-        raise DomainError(
-            "per-state exponent needs a strict gap and positive smaller pair value "
-            f"(got cut={cut}, max={hi}, min={lo})"
-        )
-    return cut / hi
-
-
-def theorem3_alpha(t: MeasureTriple) -> float:
-    """Per-state monogamy exponent log_b 2 with b = cut / max-pair value."""
-    return theorem3_alpha_relaxed(per_state_base(t))
-
-
-def theorem3_alpha_relaxed(c: float) -> float:
-    """Exponent log_c 2 valid for every triple whose base ratio is >= c > 1."""
-    if not 1.0 < c < math.inf:
-        raise DomainError(f"relaxed base must be finite and exceed 1, got {c}")
-    return math.log(2.0) / math.log(c)
-
-
-def is_theorem2_witness(t: MeasureTriple, eps: float = DEFAULT_EPS) -> bool:
-    """True iff the x-equation has no finite solution: the cut equals the
-    larger pair value and the smaller is positive, by the x-rule at y = 1.
-
-    Such a state rules out monogamy at every exponent.
-    """
-    return solve_x(t, 1.0, eps).kind is XKind.UNBOUNDED
 
 
 def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
@@ -358,11 +318,13 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     witnesses = [w for ws in chunk_witnesses for w in ws]
     finite_arr = np.concatenate(finite_xs)
     max_x = float(finite_arr.max()) if finite else 0.0
+    if not 0.0 <= max_x < math.inf:  # Theorem 1 below needs a finite bound M >= 0 on x
+        raise DomainError(f"need a finite bound M >= 0 on x, got M={max_x}")
     histogram = []
     if finite:
         counts, edges = np.histogram(finite_arr, bins=50, range=(0.0, max_x))
         histogram = list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
-    certified = alpha_from_bound(max_x, y) if unbounded == 0 else None
+    certified = max(max_x * y, y) if unbounded == 0 else None
     return SweepReport(
         dims=dims, measure=mid, family=family, y=y, seed=seed, samples=n,
         zero_count=zero, finite_count=finite, unbounded_count=unbounded,
@@ -373,28 +335,41 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 
 # --- certificates -----------------------------------------------------------
 
+# When the pair values are equal the residual at log_b 2 is 0 in exact
+# arithmetic, and the computed log_b 2 can fall an ulp or so short of it; no
+# measured triple needed more than 3 steps up.
+_ALPHA_STEPS = 8
+
+
+def _theorem3(t: MeasureTriple, kind: CertificateKind, c: float | None = None) -> Certificate:
+    """Exponent log_c 2 for a base 1 < c <= b = cut / max-pair value (c = b
+    unless given), stepped up to the first float whose residual is >= 0;
+    DomainError if none is within _ALPHA_STEPS steps."""
+    cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
+    if lo <= 0 or cut <= hi:
+        raise DomainError(
+            "per-state exponent needs a strict gap and positive smaller pair value "
+            f"(got cut={cut}, max={hi}, min={lo})"
+        )
+    b = cut / hi
+    inputs = {"b": b} if c is None else {"b": b, "c": c}
+    c = b if c is None else c
+    if not (1.0 < c <= b and c < math.inf):
+        raise DomainError(f"relaxed base must be finite and satisfy 1 < c <= b = {b}, got {c}")
+    alpha = math.log(2.0) / math.log(c)
+    for _ in range(_ALPHA_STEPS):
+        r = residual(t, alpha)
+        if r >= 0.0:
+            return Certificate(kind, alpha, {**inputs, "triple": t.as_tuple()}, r)
+        alpha = math.nextafter(alpha, math.inf)
+    raise DomainError(f"residual stays negative up to alpha={alpha} for triple {t.as_tuple()}")
+
 
 def certify_per_state(t: MeasureTriple) -> Certificate:
     """Per-state exponent certificate log_b 2 with its verified residual."""
-    b = per_state_base(t)
-    alpha = theorem3_alpha_relaxed(b)
-    return Certificate(
-        CertificateKind.THEOREM3_PER_STATE,
-        alpha,
-        {"b": b, "triple": t.as_tuple()},
-        residual(t, alpha),
-    )
+    return _theorem3(t, CertificateKind.THEOREM3_PER_STATE)
 
 
 def certify_relaxed(t: MeasureTriple, c: float) -> Certificate:
     """Relaxed-base certificate log_c 2, valid when 1 < c <= b for the triple."""
-    b = per_state_base(t)
-    if not (1.0 < c <= b):
-        raise DomainError(f"relaxed base must satisfy 1 < c <= b = {b}, got {c}")
-    alpha = theorem3_alpha_relaxed(c)
-    return Certificate(
-        CertificateKind.THEOREM3_RELAXED,
-        alpha,
-        {"b": b, "c": c, "triple": t.as_tuple()},
-        residual(t, alpha),
-    )
+    return _theorem3(t, CertificateKind.THEOREM3_RELAXED, c)

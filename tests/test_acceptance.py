@@ -19,14 +19,12 @@ from entmono import (
     entanglement_cost_lookup,
     example_223,
     haar_random,
-    is_theorem2_witness,
     measure_triple,
     min_alpha,
     reduced_density,
     residual,
     solve_x,
     sweep,
-    theorem3_alpha,
 )
 from entmono.cli import main as cli_main
 from entmono.measures import LOG2_3
@@ -60,7 +58,7 @@ class TestGoldens:
             abs(t.e_abc - 1.0) <= 1e-9
             and abs(t.e_ab - 1.0) <= 1e-9
             and abs(t.e_ac - 2 * math.sqrt(2) / 3) <= 1e-9
-            and is_theorem2_witness(t)
+            and solve_x(t, 1.0).kind is XKind.UNBOUNDED
         )
         _report("golden: 2x2x3 example assistance triple (1, 1, 2*sqrt(2)/3) "
                 "and witness fires", ok)
@@ -159,7 +157,7 @@ class TestPropertySuites:
             if t.e_abc <= hi or lo <= 0:
                 continue
             checked += 1
-            if residual(t, theorem3_alpha(t)) < -1e-9:
+            if residual(t, certify_per_state(t).alpha) < -1e-9:
                 ok = False
                 break
         _report(f"property: per-state exponent is sound on the strict-gap "

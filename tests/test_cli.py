@@ -391,6 +391,26 @@ class TestCertify:
         assert code == 1
         assert "--c" in err
 
+    def test_thm3_rejects_c(self, capsys):
+        code, out, err = run_cli(
+            ["certify", "--example", "w", "--measure", "c", "--mode", "thm3", "--c", "1.2"], capsys
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--c applies to relaxed mode only" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("example, measure", [("w", "c"), ("afs", "ec-lookup")])
+    def test_analyze_exponent_is_certified(self, capsys, example, measure):
+        # analyze reports the certificate's alpha, whose residual is verified >= 0
+        source = ["--example", example, "--measure", measure]
+        code, out, _ = run_cli(["certify", *source], capsys)
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["residual_at_alpha"] >= 0.0
+        code, out, _ = run_cli(["analyze", *source], capsys)
+        assert code == 0
+        assert json.loads(out)["per_state_exponent"]["alpha"] == cert["alpha"]
+
 
 @pytest.fixture(scope="module")
 def outdir(tmp_path_factory):

@@ -15,7 +15,6 @@ from entmono import (
     MonotonicityError,
     SchmidtParams,
     XKind,
-    alpha_from_bound,
     beta_curves,
     certify_per_state,
     certify_relaxed,
@@ -24,14 +23,11 @@ from entmono import (
     from_schmidt,
     ghz,
     haar_random,
-    is_theorem2_witness,
     measure_triple,
     min_alpha,
     residual,
     solve_x,
     sweep,
-    theorem3_alpha,
-    theorem3_alpha_relaxed,
     w_class,
 )
 from entmono import monogamy, states
@@ -96,7 +92,7 @@ class TestSolveX:
         with pytest.raises(DomainError, match="eps"):
             solve_x(triple(1, 0.5, 0.5), 2.0, eps)
         with pytest.raises(DomainError, match="eps"):
-            is_theorem2_witness(triple(1, 0.5, 0.5), eps)
+            solve_x(triple(1, 0.5, 0.5), 1.0, eps)
 
     @given(
         st.floats(0.01, 1.0),
@@ -135,69 +131,82 @@ class TestResidual:
 
 
 class TestAlphaFromBound:
-    def test_values(self):
-        assert alpha_from_bound(1.0, 2.0) == 2.0
-        assert alpha_from_bound(0.0, 3.0) == 3.0
-        assert alpha_from_bound(1 / (LOG2_3 - 1), 1.0) == pytest.approx(1.7095, abs=1e-3)
+    """Theorem 1, alpha = max(M * y0, y0) from a bound M on x at y0, as sweep
+    applies it: a patched chunk reports one finite x, so that M is that x."""
 
-    def test_domain(self):
+    @staticmethod
+    def alpha(monkeypatch, m, y0):
+        monkeypatch.setattr(monogamy, "_sweep_chunk", lambda *args: (
+            np.array([0, 1, 0, 0]), np.array([m]), []))
+        r = sweep((2, 2, 2), MeasureId.CONCURRENCE, y0, 10, 0)
+        assert r.max_finite_x == m
+        return r.certified_alpha
+
+    def test_values(self, monkeypatch):
+        assert self.alpha(monkeypatch, 1.0, 2.0) == 2.0
+        assert self.alpha(monkeypatch, 0.0, 3.0) == 3.0
+        assert self.alpha(monkeypatch, 1 / (LOG2_3 - 1), 1.0) == pytest.approx(1.7095, abs=1e-3)
+
+    def test_domain(self, monkeypatch):
         with pytest.raises(DomainError):
-            alpha_from_bound(-0.1, 1.0)
+            self.alpha(monkeypatch, -0.1, 1.0)
         with pytest.raises(DomainError):
-            alpha_from_bound(1.0, 0.0)
+            self.alpha(monkeypatch, 1.0, 0.0)
 
     @pytest.mark.parametrize("m, y0", [(math.nan, 2.0), (1.0, math.nan), (0.0, math.inf)])
-    def test_non_finite(self, m, y0):
+    def test_non_finite(self, monkeypatch, m, y0):
         with pytest.raises(DomainError):
-            alpha_from_bound(m, y0)
+            self.alpha(monkeypatch, m, y0)
 
 
 class TestTheorem3:
     def test_ec_exponent(self):
-        a = theorem3_alpha(EC)
+        a = certify_per_state(EC).alpha
         assert a == pytest.approx(ALPHA_EC, abs=1e-12)
         assert residual(EC, a) >= -1e-9
 
     def test_base_two(self):
-        assert theorem3_alpha(triple(2, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert certify_per_state(triple(2, 1, 1)).alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_asymmetric(self):
         t = triple(1, 0.5, 0.25)
-        assert theorem3_alpha(t) == pytest.approx(1.0, abs=1e-12)
+        assert certify_per_state(t).alpha == pytest.approx(1.0, abs=1e-12)
         assert residual(t, 1.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            theorem3_alpha(triple(1, 1, 0.5))  # no strict gap
+            certify_per_state(triple(1, 1, 0.5))  # no strict gap
         with pytest.raises(DomainError):
-            theorem3_alpha(triple(1, 0.5, 0.0))  # zero min
+            certify_per_state(triple(1, 0.5, 0.0))  # zero min
 
     def test_equality_case_residual_zero(self):
         t = triple(1.3, 0.7, 0.7)
-        a = theorem3_alpha(t)
+        a = certify_per_state(t).alpha
         assert residual(t, a) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestTheorem3Relaxed:
+    """log_c 2 on triples whose base ratio b is at least c (EC has b = log2 3)."""
+
     def test_three_halves(self):
-        assert theorem3_alpha_relaxed(1.5) == pytest.approx(1.709511, abs=1e-5)
+        assert certify_relaxed(EC, 1.5).alpha == pytest.approx(1.709511, abs=1e-5)
 
     def test_base_two(self):
-        assert theorem3_alpha_relaxed(2.0) == pytest.approx(1.0, abs=1e-12)
+        assert certify_relaxed(triple(1, 0.4, 0.3), 2.0).alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_equality_base(self):
-        assert theorem3_alpha_relaxed(LOG2_3) == pytest.approx(ALPHA_EC, abs=1e-12)
+        assert certify_relaxed(EC, LOG2_3).alpha == pytest.approx(ALPHA_EC, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            theorem3_alpha_relaxed(1.0)
+            certify_relaxed(EC, 1.0)
         with pytest.raises(DomainError):
-            theorem3_alpha_relaxed(0.3)
+            certify_relaxed(EC, 0.3)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite(self, c):
         with pytest.raises(DomainError, match="finite"):
-            theorem3_alpha_relaxed(c)
+            certify_relaxed(EC, c)
 
 
 class TestMinAlpha:
@@ -285,13 +294,13 @@ class TestMinAlpha:
 
 class TestWitness:
     def test_e223(self):
-        assert is_theorem2_witness(triple(1, 1, 2 * math.sqrt(2) / 3))
+        assert solve_x(triple(1, 1, 2 * math.sqrt(2) / 3), 1.0).kind is XKind.UNBOUNDED
 
     def test_zero_min_is_not_witness(self):
-        assert not is_theorem2_witness(triple(1, 1, 0))
+        assert solve_x(triple(1, 1, 0), 1.0).kind is not XKind.UNBOUNDED
 
     def test_strict_gap_is_not_witness(self):
-        assert not is_theorem2_witness(triple(1.2, 1, 0.5))
+        assert solve_x(triple(1.2, 1, 0.5), 1.0).kind is not XKind.UNBOUNDED
 
     @pytest.mark.parametrize("t,kind,alpha", [
         ((1, 1, 0), XKind.ZERO, 0.0),
@@ -299,19 +308,19 @@ class TestWitness:
         ((1, 1, 0.5), XKind.UNBOUNDED, math.inf),
     ])
     def test_eps_zero_decisions_agree(self, t, kind, alpha):
-        # x, the witness flag and min_alpha decide by one rule, also at eps = 0
+        # x at y = 2, the witness flag at y = 1 and min_alpha decide by one rule, also at eps = 0
         t = triple(*t)
         assert solve_x(t, 2.0, 0.0).kind is kind
-        assert is_theorem2_witness(t, 0.0) is (kind is XKind.UNBOUNDED)
+        assert (solve_x(t, 1.0, 0.0).kind is XKind.UNBOUNDED) is (kind is XKind.UNBOUNDED)
         assert min_alpha(t, eps=0.0) == alpha
 
 
 @pytest.mark.parametrize("decide", [
     lambda t: solve_x(t, 2.0),
-    is_theorem2_witness,
+    lambda t: solve_x(t, 1.0).kind is XKind.UNBOUNDED,
     min_alpha,
     lambda t: beta_curves(t, [1.0, 2.0]),
-], ids=["solve_x", "is_theorem2_witness", "min_alpha", "beta_curves"])
+], ids=["solve_x", "witness_at_y_one", "min_alpha", "beta_curves"])
 def test_monotonicity_violation_raises(decide):
     with pytest.raises(MonotonicityError, match="below larger pair value"):
         decide(triple(0.5, 0.9, 0.1))
@@ -373,7 +382,7 @@ class TestSweep:
     def test_certified_alpha_rule(self):
         r = sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, 200, 11)
         if r.unbounded_count == 0:
-            assert r.certified_alpha == alpha_from_bound(r.max_finite_x, 2.0)
+            assert r.certified_alpha == max(r.max_finite_x * 2.0, 2.0)
         else:
             assert r.certified_alpha is None
         assert r.empirical
@@ -448,6 +457,22 @@ class TestCertificates:
         with pytest.raises(DomainError):
             certify_per_state(triple(1, 1, 0.5))
 
+    @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+           st.sampled_from([MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE,
+                            MeasureId.EOF]))
+    @example(b0=0.0, b1=1.0, b2=1.0, mid=MeasureId.CONCURRENCE)  # the W state
+    @settings(max_examples=300, deadline=None)
+    def test_equal_pairs_residual_verified(self, b0, b1, b2, mid):
+        # AB = AC, so the residual at log_b 2 is 0 in exact arithmetic and the
+        # computed log_b 2 can fall an ulp short of it
+        b = np.array([b0, b1, b2, b2])
+        t = measure_triple(w_class(*(b / np.linalg.norm(b))), mid)
+        cert = certify_per_state(t)
+        a0 = math.log(2.0) / math.log(cert.inputs["b"])
+        assert cert.residual_at_alpha >= 0.0
+        assert cert.residual_at_alpha == residual(t, cert.alpha)
+        assert a0 <= cert.alpha <= a0 + 4 * math.ulp(a0)
+
 
 def _per_sample_rule(cut, hi, lo, y, eps):
     """The x-rule sample by sample: the kind from the unpowered values, as
@@ -498,7 +523,7 @@ class TestKindIndependentOfY:
         t = triple(cut, cut * f1, cut * f1 * f2)
         kind = solve_x(t, y, eps).kind
         assert kind is solve_x(t, 1.0, eps).kind
-        assert is_theorem2_witness(t, eps) is (kind is XKind.UNBOUNDED)
+        assert (solve_x(t, 1.0, eps).kind is XKind.UNBOUNDED) is (kind is XKind.UNBOUNDED)
 
     def test_tiny_y_sweep_has_no_witness(self):
         # concurrence is CKW-monogamous; at y = 1e-9 every powered gap is
