@@ -382,8 +382,9 @@ def _assistant_search(psi) -> np.ndarray:
         for _ in range(_NEWTON_STEPS):
             if own is None:  # the live set changed: take its searches' forms
                 own = live // _STARTS
-                c, quad, lin = c0[own, None], quad0[..., own, None], lin0[..., own, None]
-                t = [x[:, own] for x in t0]
+                # np.take gathers in C order; an index would put the searches outermost
+                c, t = c0[own, None], [x.take(own, 1) for x in t0]
+                quad, lin = quad0.take(own, -1)[..., None], lin0.take(own, -1)[..., None]
                 tol = _GAIN_TOL * nu[own, None]
             step, length, gain = _ascent_step(n, c, quad, lin, radius)
             trial = n + step

@@ -204,7 +204,7 @@ def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:
 
 # --- Monte-Carlo sweeps -----------------------------------------------------
 
-_SWEEP_CHUNK = 512
+_SWEEP_CHUNK = 2048
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -229,16 +230,30 @@ class TestSweep:
     @pytest.mark.parametrize("family", ["haar", "w", "schmidt"])
     def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch, family):
         # schmidt rows end in a phase draw, drawn in forked workers with the
-        # tables that sweep derived before the fork
+        # tables that sweep derived before the fork.  Four chunks and a partial
+        # one reach the pool threshold; the 2-worker pool must really be made.
+        from entmono import monogamy
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                super().__init__(max_workers, *args, **kwargs)
+                pools.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        samples = 4 * monogamy._SWEEP_CHUNK + 77
         reports = []
         for threads in ("2", "1"):
             monkeypatch.setenv("MONO_THREADS", threads)
             out = tmp_path / threads
             code, _, _ = run_cli(
                 ["sweep", "--dims", "2,2,2", "--measure", "c", "--family", family,
-                 "--samples", "2048", "--seed", "17", "--out", str(out)], capsys)
+                 "--samples", str(samples), "--seed", "17", "--out", str(out)], capsys)
             assert code == 0
             reports.append((out / "sweep_report.json").read_bytes())
+        assert pools == [2]
         assert reports[0] == reports[1]
 
 

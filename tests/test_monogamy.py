@@ -683,10 +683,10 @@ class TestChunkSampling:
                     == numpy_family_rows(dims, family, seeds).tobytes())
 
     def test_chunk_draw_holds_one_generator(self):
-        # a chunk's 512 Generators held at once set off collections that cost
+        # a chunk's Generators held at once set off collections that cost
         # sweeps milliseconds; the draw makes each one as it redraws its row.
         # (2,2,5) rows take 40 draws, so the redraw loop makes every row's.
-        words = stream_words(3, 0, 512)
+        words = stream_words(3, 0, monogamy._SWEEP_CHUNK)
         collections = []
 
         def record(phase, info):
@@ -700,6 +700,25 @@ class TestChunkSampling:
             finally:
                 gc.callbacks.remove(record)
             assert collections == [], dims
+
+    @pytest.mark.parametrize("dims,family", [
+        ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
+    ])
+    def test_draw_block_boundary(self, monkeypatch, dims, family):
+        # rows past a draw block are drawn by the next block: the same rows, and
+        # the same rows redrawn, as separate calls on the blocks.  At seed 41
+        # every family redraws rows in the first and the last, partial, block.
+        block, n = states._DRAW_BLOCK, 2 * states._DRAW_BLOCK + 77
+        words = stream_words(41, 0, n)
+        redrawn = _record_redraws(monkeypatch, words)
+        rows = family_rows(dims, family, words)
+        assert rows.tobytes() == numpy_family_rows(dims, family, [(41, i) for i in range(n)]).tobytes()
+        whole = redrawn[:]
+        assert min(whole) < block and max(whole) >= 2 * block
+        redrawn.clear()
+        blocks = [family_rows(dims, family, words[i:i + block]) for i in range(0, n, block)]
+        assert np.concatenate(blocks).tobytes() == rows.tobytes()
+        assert redrawn == whole
 
     def test_ziggurat_tables_match_numpy_at_boundaries(self):
         # numpy's draw on a chosen output r, set through the PCG64 state setter:
