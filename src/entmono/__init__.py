@@ -1,7 +1,8 @@
 """Deciding and certifying alpha-monogamy of entanglement measures."""
 
+import types as _types
+
 from .states import (
-    DensityMatrix,
     PureTripartiteState,
     SchmidtParams,
     StateError,
@@ -42,5 +43,6 @@ from .monogamy import (
     sweep,
 )
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# The submodules are attributes here too; a star import binds only the API.
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _types.ModuleType))]
 __version__ = "0.1.0"

@@ -89,8 +89,8 @@ def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
     )
 
 
-def _source_triple(args) -> tuple[str, MeasureId, MeasureTriple]:
-    """(descriptor, measure, triple) of --example or --state under --measure."""
+def _source_triple(args) -> tuple[str, MeasureTriple]:
+    """(descriptor, triple) of --example or --state under --measure."""
     if args.example and args.state:
         raise states.StateError("give either --example or --state, not both")
     if args.example:
@@ -101,14 +101,14 @@ def _source_triple(args) -> tuple[str, MeasureId, MeasureTriple]:
         raise states.StateError("a state source is required (--example or --state)")
     mid = MeasureId.from_string(args.measure)
     if mid is not MeasureId.ENTANGLEMENT_COST_LOOKUP:
-        return descriptor, mid, measures.measure_triple(state, mid)
+        return descriptor, measures.measure_triple(state, mid)
     if descriptor != "afs":
         raise measures.MeasureError("ec-lookup only has a tabulated entry for the 'afs' example")
-    return descriptor, mid, measures.entanglement_cost_lookup("antisymmetric_qutrit")
+    return descriptor, measures.entanglement_cost_lookup("antisymmetric_qutrit")
 
 
 def cmd_analyze(args) -> int:
-    descriptor, mid, t = _source_triple(args)
+    descriptor, t = _source_triple(args)
     sol = monogamy.solve_x(t, args.y, args.eps)
     witness = sol.kind is monogamy.XKind.UNBOUNDED
     try:
@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
     alpha = monogamy.min_alpha(t, eps=args.eps)
     print(json.dumps({
         "state": descriptor,
-        "measure": mid.value,
+        "measure": t.measure_id.value,
         "triple": list(t.as_tuple()),
         "x": {
             "kind": sol.kind.value,
@@ -174,7 +174,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    descriptor, mid, t = _source_triple(args)
+    descriptor, t = _source_triple(args)
     if args.mode == "thm3":
         if args.c is not None:
             raise monogamy.DomainError("--c applies to relaxed mode only")
@@ -185,7 +185,7 @@ def cmd_certify(args) -> int:
         cert = monogamy.certify_relaxed(t, args.c)
     print(json.dumps({
         "state": descriptor,
-        "measure": mid.value,
+        "measure": t.measure_id.value,
         "kind": cert.kind.value,
         "alpha": cert.alpha,
         "residual_at_alpha": cert.residual_at_alpha,

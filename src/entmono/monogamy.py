@@ -341,10 +341,10 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 _ALPHA_STEPS = 8
 
 
-def _theorem3(t: MeasureTriple, kind: CertificateKind, c: float | None = None) -> Certificate:
-    """Exponent log_c 2 for a base 1 < c <= b = cut / max-pair value (c = b
-    unless given), stepped up to the first float whose residual is >= 0;
-    DomainError if none is within _ALPHA_STEPS steps."""
+def _theorem3(t: MeasureTriple, c: float | None = None) -> Certificate:
+    """Exponent log_c 2 for a base 1 < c <= b = cut / max-pair value: per-state at
+    c = b when c is None, relaxed otherwise.  Stepped up to the first float whose
+    residual is >= 0; DomainError if none is within _ALPHA_STEPS steps."""
     cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
     if lo <= 0 or cut <= hi:
         raise DomainError(
@@ -352,6 +352,7 @@ def _theorem3(t: MeasureTriple, kind: CertificateKind, c: float | None = None) -
             f"(got cut={cut}, max={hi}, min={lo})"
         )
     b = cut / hi
+    kind = CertificateKind.THEOREM3_PER_STATE if c is None else CertificateKind.THEOREM3_RELAXED
     inputs = {"b": b} if c is None else {"b": b, "c": c}
     c = b if c is None else c
     if not (1.0 < c <= b and c < math.inf):
@@ -367,9 +368,9 @@ def _theorem3(t: MeasureTriple, kind: CertificateKind, c: float | None = None) -
 
 def certify_per_state(t: MeasureTriple) -> Certificate:
     """Per-state exponent certificate log_b 2 with its verified residual."""
-    return _theorem3(t, CertificateKind.THEOREM3_PER_STATE)
+    return _theorem3(t)
 
 
 def certify_relaxed(t: MeasureTriple, c: float) -> Certificate:
     """Relaxed-base certificate log_c 2, valid when 1 < c <= b for the triple."""
-    return _theorem3(t, CertificateKind.THEOREM3_RELAXED, c)
+    return _theorem3(t, c)

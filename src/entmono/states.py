@@ -1,4 +1,4 @@
-"""Tripartite pure states, reduced density matrices and Haar sampling.
+"""Tripartite pure states, partial traces as Hermitian arrays, and Haar sampling.
 
 All states live on H_A (x) H_B (x) H_C with amplitudes stored row-major over
 the product basis |abc>, i.e. index i = a*dB*dC + b*dC + c.
@@ -52,27 +52,6 @@ class PureTripartiteState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to (dA, dB, dC)."""
         return self.amps.reshape(self.dims)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix on a (reduced) subsystem."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = self.mat
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise StateError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise StateError("density matrix trace differs from 1 by more than 1e-10")
-        m.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -612,8 +591,8 @@ def _ziggurat_tables():
 _AXIS = {"A": 0, "B": 1, "C": 2}
 
 
-def reduced_density(state: PureTripartiteState, keep) -> DensityMatrix:
-    """Partial trace of |psi><psi| keeping the named subsystems.
+def reduced_density(state: PureTripartiteState, keep) -> np.ndarray:
+    """Partial trace of |psi><psi| keeping the named subsystems, as a Hermitian array.
 
     ``keep`` is a string or iterable over {A, B, C}; the kept factors stay
     in A,B,C order regardless of the order given.
@@ -622,17 +601,10 @@ def reduced_density(state: PureTripartiteState, keep) -> DensityMatrix:
     if not labels or len(set(labels)) != len(labels) or any(k not in _AXIS for k in labels):
         raise StateError(f"keep must name distinct subsystems among A,B,C, got {keep!r}")
     keep_axes = sorted(_AXIS[k] for k in labels)
-    t = state.tensor
-    trace_axes = [ax for ax in range(3) if ax not in keep_axes]
-    # move kept axes to the front, flatten kept and traced groups
-    perm = keep_axes + trace_axes
-    m = np.transpose(t, perm)
-    dk = int(np.prod([state.dims[ax] for ax in keep_axes]))
-    dt = int(np.prod([state.dims[ax] for ax in trace_axes])) if trace_axes else 1
-    m = m.reshape(dk, dt)
+    m = np.moveaxis(state.tensor, keep_axes, range(len(keep_axes)))
+    m = m.reshape(math.prod(state.dims[ax] for ax in keep_axes), -1)
     rho = m @ m.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho)
+    return (rho + rho.conj().T) / 2.0
 
 
 # --- state file I/O ---------------------------------------------------------

@@ -7,7 +7,7 @@ states drawn from numpy's own Generators.
 
 import numpy as np
 
-from entmono import DensityMatrix, MeasureError, StateError
+from entmono import MeasureError, StateError
 from entmono import measures as m
 from entmono.measures import _spinflip_values, formation_of_concurrence
 
@@ -19,27 +19,34 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _SPECTRUM_FLOOR = 1e-14
 
 
-def validate(rho: DensityMatrix) -> DensityMatrix:
-    """Positivity, on top of DensityMatrix's own checks (costs an eigh)."""
-    w = np.linalg.eigvalsh(rho.mat)
+def validate(rho: np.ndarray) -> np.ndarray:
+    """rho as a density matrix: square, Hermitian and of unit trace within
+    1e-10, and positive semidefinite (costs an eigh)."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise StateError(f"density matrix must be square, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise StateError("density matrix is not Hermitian within 1e-10")
+    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
+        raise StateError("density matrix trace differs from 1 by more than 1e-10")
+    w = np.linalg.eigvalsh(rho)
     if w[0] < -1e-10:
         raise StateError(f"density matrix has eigenvalue {w[0]} < -1e-10")
     return rho
 
 
-def purity(rho: DensityMatrix) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr(rho^2), in [1/dim, 1] up to round-off."""
-    return float(np.real(np.trace(rho.mat @ rho.mat)))
+    return float(np.real(np.trace(rho @ rho)))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) in base 2."""
-    w = np.linalg.eigvalsh(rho.mat)
+    w = np.linalg.eigvalsh(rho)
     w = w[w > 1e-15]
     return float(-np.sum(w * np.log2(w)))
 
 
-def spinflip_sqrt_spectrum(rho: DensityMatrix) -> np.ndarray:
+def spinflip_sqrt_spectrum(rho: np.ndarray) -> np.ndarray:
     """Descending sqrt-eigenvalues of rho * rho_tilde for a two-qubit rho.
 
     rho_tilde = (Y x Y) rho* (Y x Y).  They are the singular values of the
@@ -48,26 +55,26 @@ def spinflip_sqrt_spectrum(rho: DensityMatrix) -> np.ndarray:
     squaring the spectrum and is exact on rank-deficient rho; noise-level
     eigenvalues of rho are dropped first.
     """
-    if rho.dim != 4:
-        raise MeasureError(f"two-qubit kernel needs dim 4, got {rho.dim}")
-    w, v = np.linalg.eigh(rho.mat)
+    if len(rho) != 4:
+        raise MeasureError(f"two-qubit kernel needs dim 4, got {len(rho)}")
+    w, v = np.linalg.eigh(rho)
     keep = w > _SPECTRUM_FLOOR
     s = _spinflip_values((v[:, keep] * np.sqrt(w[keep]))[None])[0]
     return np.concatenate([s, np.zeros(4 - s.size)])
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
+def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit mixed-state concurrence max(0, s1 - s2 - s3 - s4)."""
     s = spinflip_sqrt_spectrum(rho)
     return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
-def concurrence_of_assistance(rho: DensityMatrix) -> float:
+def concurrence_of_assistance(rho: np.ndarray) -> float:
     """Two-qubit concurrence of assistance, s1 + s2 + s3 + s4."""
     return float(np.sum(spinflip_sqrt_spectrum(rho)))
 
 
-def eof_two_qubit(rho: DensityMatrix) -> float:
+def eof_two_qubit(rho: np.ndarray) -> float:
     """Two-qubit entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
     return formation_of_concurrence(wootters_concurrence(rho))
 

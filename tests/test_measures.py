@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entmono import (
-    DensityMatrix,
     MeasureError,
     MeasureId,
     MeasureTriple,
@@ -37,7 +36,7 @@ from entmono.measures import (
 )
 from entmono.states import family_rows, stream_words
 from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
-                       full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum,
+                       full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum, validate,
                        von_neumann_entropy, wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
@@ -47,7 +46,7 @@ S3 = 1 / math.sqrt(3)
 def bell_projector():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = S2
-    return DensityMatrix(np.outer(v, v.conj()))
+    return validate(np.outer(v, v.conj()))
 
 
 class TestPureCut:
@@ -125,7 +124,7 @@ class TestWootters:
         assert wootters_concurrence(bell_projector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
+        rho = validate(np.eye(4, dtype=complex) / 4)
         assert wootters_concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_schmidt_reduced(self):
@@ -136,7 +135,7 @@ class TestWootters:
 
     def test_wrong_dim(self):
         with pytest.raises(MeasureError):
-            wootters_concurrence(DensityMatrix(np.eye(2, dtype=complex) / 2))
+            wootters_concurrence(validate(np.eye(2, dtype=complex) / 2))
 
 
 class TestAssistance:
@@ -170,7 +169,7 @@ class TestEoF:
         assert eof_two_qubit(bell_projector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable(self):
-        rho = DensityMatrix(np.diag([0.5, 0, 0, 0.5]).astype(complex))
+        rho = validate(np.diag([0.5, 0, 0, 0.5]).astype(complex))
         assert eof_two_qubit(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_concurrence(self):
@@ -313,10 +312,10 @@ class TestSpectrum:
             g = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            dm = DensityMatrix((rho + rho.conj().T) / 2)
+            dm = validate((rho + rho.conj().T) / 2)
             s = spinflip_sqrt_spectrum(dm)
-            rho_t = _YY @ dm.mat.conj() @ _YY
-            mu = np.linalg.eigvals(dm.mat @ rho_t)
+            rho_t = _YY @ dm.conj() @ _YY
+            mu = np.linalg.eigvals(dm @ rho_t)
             ref = np.sort(np.sqrt(np.clip(mu.real, 0, None)))[::-1]
             assert np.allclose(s, ref, atol=1e-10)
 

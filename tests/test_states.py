@@ -179,7 +179,7 @@ class TestNamedStates:
         s = antisymmetric_qutrit()
         for keep in ("A", "B", "C"):
             rho = reduced_density(s, keep)
-            assert np.allclose(rho.mat, np.eye(3) / 3, atol=1e-14)
+            assert np.allclose(rho, np.eye(3) / 3, atol=1e-14)
 
 
 class TestHaar:
@@ -206,13 +206,13 @@ class TestHaar:
     def test_reduction_trace(self):
         s = haar_random((3, 3, 3), 5)
         rho = reduced_density(s, "A")
-        assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReducedDensity:
     def test_ghz_single_qubit(self):
         rho = reduced_density(ghz(), "A")
-        assert np.allclose(rho.mat, np.diag([0.5, 0.5]))
+        assert np.allclose(rho, np.diag([0.5, 0.5]))
 
     def test_product_state_projector(self):
         v = np.zeros(8)
@@ -220,11 +220,11 @@ class TestReducedDensity:
         rho = reduced_density(pure_state_new((2, 2, 2), v), "AB")
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
-        assert np.allclose(rho.mat, expect)
+        assert np.allclose(rho, expect)
 
     def test_keep_order_is_canonical(self):
         s = haar_random((2, 3, 2), 1)
-        assert np.allclose(reduced_density(s, "CA").mat, reduced_density(s, "AC").mat)
+        assert np.allclose(reduced_density(s, "CA"), reduced_density(s, "AC"))
 
     def test_invalid_label(self):
         with pytest.raises(StateError):
@@ -240,8 +240,8 @@ class TestReducedDensity:
             for keep in ("A", "B", "C", "AB", "AC", "BC"):
                 rho = reduced_density(s, keep)
                 validate(rho)
-                assert np.max(np.abs(rho.mat - rho.mat.conj().T)) <= 1e-10
-                assert abs(np.trace(rho.mat) - 1.0) <= 1e-10
+                assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+                assert abs(np.trace(rho) - 1.0) <= 1e-10
 
 
 class TestPurity:
@@ -258,7 +258,7 @@ class TestPurity:
             for keep in ("A", "AB"):
                 rho = reduced_density(s, keep)
                 p = purity(rho)
-                assert 1 / rho.dim - 1e-9 <= p <= 1 + 1e-9
+                assert 1 / len(rho) - 1e-9 <= p <= 1 + 1e-9
 
 
 class TestStateFiles:
