@@ -22,7 +22,6 @@ from .measures import (
     MeasureError,
     MeasureId,
     MeasureTriple,
-    concurrence_pure_cut,
     entanglement_cost_lookup,
     measure_triple,
 )
@@ -35,8 +34,7 @@ from .monogamy import (
     XKind,
     XSolution,
     beta_curves,
-    certify_per_state,
-    certify_relaxed,
+    certify,
     min_alpha,
     residual,
     solve_x,

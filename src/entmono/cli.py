@@ -61,7 +61,7 @@ def _unit(reals, dtype, what, spec):
     return v / nrm
 
 
-def resolve_example(name: str) -> tuple[str, states.PureTripartiteState | None]:
+def resolve_example(name: str) -> tuple[str, states.PureTripartiteState]:
     """Named-example registry: ghz, w, wclass:..., schmidt:..., e223, afs.
 
     Inline wclass/schmidt parameters give a direction, not exact amplitudes;
@@ -99,7 +99,7 @@ def _source_triple(args) -> tuple[str, MeasureTriple]:
         descriptor, state = args.state, states.load_state(args.state)
     else:
         raise states.StateError("a state source is required (--example or --state)")
-    mid = MeasureId.from_string(args.measure)
+    mid = MeasureId(args.measure)
     if mid is not MeasureId.ENTANGLEMENT_COST_LOOKUP:
         return descriptor, measures.measure_triple(state, mid)
     if descriptor != "afs":
@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
     sol = monogamy.solve_x(t, args.y, args.eps)
     witness = sol.kind is monogamy.XKind.UNBOUNDED
     try:
-        thm3 = {"alpha": monogamy.certify_per_state(t).alpha}
+        thm3 = {"alpha": monogamy.certify(t).alpha}
     except monogamy.DomainError as exc:
         thm3 = {"error": str(exc)}
     alpha = monogamy.min_alpha(t, eps=args.eps)
@@ -134,7 +134,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mid = MeasureId.from_string(args.measure)
+    mid = MeasureId(args.measure)
     family = {"w": "w_class", "haar": "haar", "schmidt": "schmidt"}.get(args.family, args.family)
     try:  # --dims is the one place dims arrive as text
         dims = [int(d) for d in args.dims.split(",")]
@@ -175,14 +175,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     descriptor, t = _source_triple(args)
-    if args.mode == "thm3":
-        if args.c is not None:
-            raise monogamy.DomainError("--c applies to relaxed mode only")
-        cert = monogamy.certify_per_state(t)
-    elif args.c is None:
+    if args.mode == "thm3" and args.c is not None:
+        raise monogamy.DomainError("--c applies to relaxed mode only")
+    if args.mode == "relaxed" and args.c is None:
         raise monogamy.DomainError("relaxed mode needs --c")
-    else:
-        cert = monogamy.certify_relaxed(t, args.c)
+    cert = monogamy.certify(t, args.c)
     print(json.dumps({
         "state": descriptor,
         "measure": t.measure_id.value,

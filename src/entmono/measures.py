@@ -32,11 +32,8 @@ class MeasureId(enum.Enum):
     ENTANGLEMENT_COST_LOOKUP = "ec-lookup"
 
     @classmethod
-    def from_string(cls, s: str) -> "MeasureId":
-        for m in cls:
-            if m.value == s:
-                return m
-        raise MeasureError(f"unknown measure {s!r}; known: {[m.value for m in cls]}")
+    def _missing_(cls, value):
+        raise MeasureError(f"unknown measure {value!r}; known: {[m.value for m in cls]}")
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,6 @@ def formation_of_concurrence(c):
     return binary_entropy(c * c / (2.0 * (1.0 + r)))
 
 
-def concurrence_pure_cut(state: PureTripartiteState) -> float:
-    """Concurrence of the pure A|BC cut, sqrt(2 (1 - Tr rho_A^2)).
-
-    Evaluated by Cauchy-Binet as a sum of squared 2x2 minors (see
-    _cut_concurrence), which does not cancel on near-product cuts.
-    """
-    m = state.amps.reshape(1, state.dims[0], -1)
-    return float(_cut_concurrence(m)[0] / _norm2(m)[0])
-
-
 def entanglement_cost_lookup(name: str) -> MeasureTriple:
     """Tabulated entanglement-cost triples; E_C is not computable in general.
 
@@ -103,13 +90,13 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 
 # --- the triple kernels: the cut, the spin-flip pairs, the searched pairs ---
 #
-# A triple is the A|BC cut and one value per pair.  With M the dA x (dB dC)
-# block of A against BC, rho_A = M M^H, and by Cauchy-Binet
-# 2 (1 - Tr rho_A^2) = 4 sum |M_ij M_kl - M_il M_kj|^2 over row pairs i < k
-# and column pairs j < l (4 det rho_A for qubit A): a sum of non-negative
-# terms, which does not cancel on near-product cuts.  Every value is of
-# degree 2 in psi and is divided by its row's ||psi||^2 (_norm2): it refers
-# to the normalized vector on every dims, alike alone or in a batch.
+# A triple is the A|BC cut and one value per pair, and A is a qubit in every
+# triple.  With M the 2 x (dB dC) block of A against BC, rho_A = M M^H, and by
+# Cauchy-Binet 2 (1 - Tr rho_A^2) = 4 det rho_A = 4 sum |M_0j M_1l - M_0l M_1j|^2
+# over column pairs j < l: a sum of non-negative terms, which does not cancel
+# on near-product cuts.  Every value is of degree 2 in psi and is divided by
+# its row's ||psi||^2 (_norm2): it refers to the normalized vector on every
+# dims, alike alone or in a batch.
 #
 # A pair with a qubit partner takes the two-qubit closed form.  With psi its
 # 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
@@ -166,18 +153,13 @@ def _index_pairs(n):
 
 
 def _cut_concurrence(m) -> np.ndarray:
-    """2 sqrt(sum_{i<k, j<l} |m_ij m_kl - m_il m_kj|^2) of (N, dA, n) amplitude blocks.
-
-    The sum runs per row pair over the column pairs, then over the row
-    pairs, so for qubit A the one row pair adds nothing to the arithmetic.
-    """
-    i, k = _index_pairs(m.shape[1])
-    top, bottom = m[:, i], m[:, k]
-    acc = np.zeros((len(m), len(i)))
+    """2 sqrt(sum_{j<l} |m_0j m_1l - m_0l m_1j|^2) of (N, 2, n) qubit-A amplitude blocks."""
+    top, bottom = m[:, 0], m[:, 1]
+    acc = np.zeros(len(m))
     for j in range(m.shape[2] - 1):
-        minor = top[:, :, j, None] * bottom[:, :, j + 1:] - top[:, :, j + 1:] * bottom[:, :, j, None]
-        acc += (minor.real * minor.real + minor.imag * minor.imag).sum(axis=2)
-    return 2.0 * np.sqrt(acc.sum(axis=1))
+        minor = top[:, j, None] * bottom[:, j + 1:] - top[:, j + 1:] * bottom[:, j, None]
+        acc += (minor.real * minor.real + minor.imag * minor.imag).sum(axis=1)
+    return 2.0 * np.sqrt(acc)
 
 
 def _spinflip_values(psi) -> np.ndarray:

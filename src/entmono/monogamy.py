@@ -341,10 +341,13 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 _ALPHA_STEPS = 8
 
 
-def _theorem3(t: MeasureTriple, c: float | None = None) -> Certificate:
-    """Exponent log_c 2 for a base 1 < c <= b = cut / max-pair value: per-state at
-    c = b when c is None, relaxed otherwise.  Stepped up to the first float whose
-    residual is >= 0; DomainError if none is within _ALPHA_STEPS steps."""
+def certify(t: MeasureTriple, c: float | None = None) -> Certificate:
+    """Theorem 3: the exponent log_c 2 for a base 1 < c <= b = cut / max-pair value.
+
+    Per-state (c = b) when c is None, relaxed otherwise.  The exponent is
+    stepped up to the first float whose residual is >= 0, and returned with
+    that verified residual; DomainError if none is within _ALPHA_STEPS steps.
+    """
     cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
     if lo <= 0 or cut <= hi:
         raise DomainError(
@@ -365,12 +368,3 @@ def _theorem3(t: MeasureTriple, c: float | None = None) -> Certificate:
         alpha = math.nextafter(alpha, math.inf)
     raise DomainError(f"residual stays negative up to alpha={alpha} for triple {t.as_tuple()}")
 
-
-def certify_per_state(t: MeasureTriple) -> Certificate:
-    """Per-state exponent certificate log_b 2 with its verified residual."""
-    return _theorem3(t)
-
-
-def certify_relaxed(t: MeasureTriple, c: float) -> Certificate:
-    """Relaxed-base certificate log_c 2, valid when 1 < c <= b for the triple."""
-    return _theorem3(t, c)

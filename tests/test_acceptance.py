@@ -14,8 +14,7 @@ import pytest
 from entmono import (
     MeasureId,
     XKind,
-    certify_per_state,
-    certify_relaxed,
+    certify,
     entanglement_cost_lookup,
     example_223,
     haar_random,
@@ -65,7 +64,7 @@ class TestGoldens:
 
     def test_entanglement_cost_certificate(self):
         t = entanglement_cost_lookup("antisymmetric_qutrit")
-        cert = certify_per_state(t)
+        cert = certify(t)
         ok = (
             abs(cert.inputs["b"] - LOG2_3) <= 1e-9
             and abs(cert.alpha - ALPHA_EC) <= 1e-5
@@ -76,7 +75,7 @@ class TestGoldens:
 
     def test_relaxed_certificate(self):
         t = entanglement_cost_lookup("antisymmetric_qutrit")
-        cert = certify_relaxed(t, 1.5)
+        cert = certify(t, 1.5)
         _report("golden: relaxed certificate at c = 3/2 gives alpha = 1.709511",
                 abs(cert.alpha - 1.709511) <= 1e-5)
 
@@ -157,7 +156,7 @@ class TestPropertySuites:
             if t.e_abc <= hi or lo <= 0:
                 continue
             checked += 1
-            if residual(t, certify_per_state(t).alpha) < -1e-9:
+            if residual(t, certify(t).alpha) < -1e-9:
                 ok = False
                 break
         _report(f"property: per-state exponent is sound on the strict-gap "

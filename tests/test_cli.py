@@ -138,6 +138,21 @@ class TestAnalyze:
             assert rec["x"]["value"] == pytest.approx(1e9 / math.log(math.sqrt(2)), rel=1e-6)
             assert rec["min_alpha"] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the x-rule calls a gap unbounded when cut - max < eps in absolute "
+                       "terms, so this state gets a false witness (exit 2)")
+    def test_ckw_tight_state_is_finite(self, capsys):
+        # C^2 is monogamous on every three-qubit state (CKW), and this W-class
+        # state meets alpha = 2 with equality: x(2) = lo^2 / (cut^2 - hi^2) = 1,
+        # with a true gap cut - max of 5e-11 against lo = 1e-5
+        code, out, _ = run_cli(["analyze", "--example", "wclass:0,1,1,0.00001", "--measure", "c"],
+                               capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["x"]["kind"] == "finite"
+        assert rec["non_monogamy_witness"] is False
+        assert abs(rec["x"]["value"] - 1.0) <= 1e-5
+
     def test_kind_decided_twice(self, capsys, monkeypatch):
         # by solve_x, and by min_alpha at y = 1; the witness flag is solve_x's kind
         from entmono import monogamy

@@ -10,7 +10,6 @@ from entmono import (
     MeasureId,
     MeasureTriple,
     SchmidtParams,
-    concurrence_pure_cut,
     entanglement_cost_lookup,
     example_223,
     from_schmidt,
@@ -50,24 +49,29 @@ def bell_projector():
 
 
 class TestPureCut:
+    """The A|BC cut is the e_abc of a c or ca triple."""
+
     def test_ghz(self):
-        assert concurrence_pure_cut(ghz()) == pytest.approx(1.0, abs=1e-12)
+        assert measure_triple(ghz(), MeasureId.CONCURRENCE).e_abc == pytest.approx(1.0, abs=1e-12)
 
     def test_schmidt_closed_form(self):
         s = from_schmidt(SchmidtParams((0.5, 0, 0.5, 0.5, 0.5)))
-        assert concurrence_pure_cut(s) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
+        assert measure_triple(s, MeasureId.CONCURRENCE).e_abc == pytest.approx(
+            math.sqrt(3) / 2, abs=1e-12)
 
     def test_product(self):
         v = np.zeros(8)
         v[0] = 1.0
-        assert concurrence_pure_cut(pure_state_new((2, 2, 2), v)) == 0.0
+        assert measure_triple(pure_state_new((2, 2, 2), v), MeasureId.CONCURRENCE).e_abc == 0.0
 
     def test_e223(self):
-        assert concurrence_pure_cut(example_223()) == pytest.approx(1.0, abs=1e-12)
+        t = measure_triple(example_223(), MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert t.e_abc == pytest.approx(1.0, abs=1e-12)
 
     def test_w_class_closed_form(self):
         s = w_class(0, S3, S3, S3)
-        assert concurrence_pure_cut(s) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
+        assert measure_triple(s, MeasureId.CONCURRENCE).e_abc == pytest.approx(
+            2 * math.sqrt(2) / 3, abs=1e-12)
 
 
 def _local_unitary(rng, d):
@@ -76,8 +80,7 @@ def _local_unitary(rng, d):
 
 
 class TestPureCutPrecision:
-    """The cut is 2 sqrt(sum_{i<j} s_i^2 s_j^2) from the Schmidt coefficients
-    of A|BC, 2 s1 s2 for qubit A."""
+    """The cut of qubit A is 2 s1 s2 from the Schmidt coefficients of A|BC."""
 
     @staticmethod
     def _qubit_a(dims, seed, log_s2):
@@ -93,30 +96,18 @@ class TestPureCutPrecision:
     @settings(max_examples=300, deadline=None)
     def test_schmidt_222(self, seed, log_s2):
         state, cut = self._qubit_a((2, 2, 2), seed, log_s2)
-        assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
         t = measure_triple(state, MeasureId.CONCURRENCE)
         assert abs(t.e_abc - cut) <= 1e-15
 
+    # qubit-A blocks of n = 6, 6, 8 and 12 columns
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 2, 6)],
+                             ids=lambda d: "x".join(map(str, d)))
     @given(st.integers(0, 2**32 - 1), st.floats(-9.0, math.log10(S2)))
     @settings(max_examples=300, deadline=None)
-    def test_schmidt_223(self, seed, log_s2):
-        state, cut = self._qubit_a((2, 2, 3), seed, log_s2)
-        assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
+    def test_schmidt_223(self, dims, seed, log_s2):
+        state, cut = self._qubit_a(dims, seed, log_s2)
         t = measure_triple(state, MeasureId.CONCURRENCE_OF_ASSISTANCE)
         assert abs(t.e_abc - cut) <= 1e-15
-
-    @given(st.sampled_from([(3, 2, 2), (3, 3, 3), (4, 2, 3)]), st.integers(0, 2**32 - 1),
-           st.floats(-9.0, -0.5), st.floats(-9.0, -0.5))
-    @settings(max_examples=300, deadline=None)
-    def test_schmidt_rank3(self, dims, seed, log_s2, log_s3):
-        rng = np.random.default_rng(seed)
-        s = np.array([0.0, 10.0 ** log_s2, 10.0 ** log_s3])
-        s[0] = math.sqrt(1.0 - s[1] ** 2 - s[2] ** 2)
-        u, v = _local_unitary(rng, dims[0])[:, :3], _local_unitary(rng, dims[1] * dims[2])[:, :3]
-        state = pure_state_new(dims, ((u * s) @ v.T).ravel())
-        sq = s * s
-        cut = 2.0 * math.sqrt(sq[0] * sq[1] + sq[0] * sq[2] + sq[1] * sq[2])
-        assert abs(concurrence_pure_cut(state) - cut) <= 1e-15
 
 
 class TestWootters:
@@ -253,9 +244,12 @@ class TestMeasureTriple:
 class TestMeasureId:
     def test_registry(self):
         assert {m.value for m in MeasureId} == {"c", "ca", "eof", "ec-lookup"}
-        assert MeasureId.from_string("ca") is MeasureId.CONCURRENCE_OF_ASSISTANCE
-        with pytest.raises(MeasureError):
-            MeasureId.from_string("negativity")
+        assert MeasureId("ca") is MeasureId.CONCURRENCE_OF_ASSISTANCE
+
+    @pytest.mark.parametrize("value", ["negativity", ["c"]], ids=["unknown", "unhashable"])
+    def test_unknown_names_the_known_ids(self, value):
+        with pytest.raises(MeasureError, match=r"unknown measure .*; known: \['c', 'ca', 'eof', 'ec-lookup'\]"):
+            MeasureId(value)
 
 
 class TestSchmidtClosedFormOracle:
@@ -277,7 +271,7 @@ class TestSchmidtClosedFormOracle:
             c_ac = wootters_concurrence(reduced_density(s, "AC"))
             assert c_ab == pytest.approx(2 * lam[0] * lam[3], abs=1e-9)
             assert c_ac == pytest.approx(2 * lam[0] * lam[2], abs=1e-9)
-            cut = concurrence_pure_cut(s)
+            cut = measure_triple(s, MeasureId.CONCURRENCE).e_abc
             assert cut == pytest.approx(
                 2 * lam[0] * math.sqrt(lam[2] ** 2 + lam[3] ** 2 + lam[4] ** 2),
                 abs=1e-9,
@@ -517,7 +511,6 @@ class TestAssistedSearch:
         batch = _measure_triples(dims, np.array([s.amps for s in states]), mid)
         for state, row in zip(states, batch):
             assert measure_triple(state, mid).as_tuple() == tuple(row.tolist())
-            assert concurrence_pure_cut(state) == row[0]
             assert assisted_concurrence(state, "B") == row[1]
             assert assisted_concurrence(state, "C") == row[2]
 

@@ -16,8 +16,7 @@ from entmono import (
     SchmidtParams,
     XKind,
     beta_curves,
-    certify_per_state,
-    certify_relaxed,
+    certify,
     entanglement_cost_lookup,
     example_223,
     from_schmidt,
@@ -161,27 +160,27 @@ class TestAlphaFromBound:
 
 class TestTheorem3:
     def test_ec_exponent(self):
-        a = certify_per_state(EC).alpha
+        a = certify(EC).alpha
         assert a == pytest.approx(ALPHA_EC, abs=1e-12)
         assert residual(EC, a) >= -1e-9
 
     def test_base_two(self):
-        assert certify_per_state(triple(2, 1, 1)).alpha == pytest.approx(1.0, abs=1e-12)
+        assert certify(triple(2, 1, 1)).alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_asymmetric(self):
         t = triple(1, 0.5, 0.25)
-        assert certify_per_state(t).alpha == pytest.approx(1.0, abs=1e-12)
+        assert certify(t).alpha == pytest.approx(1.0, abs=1e-12)
         assert residual(t, 1.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            certify_per_state(triple(1, 1, 0.5))  # no strict gap
+            certify(triple(1, 1, 0.5))  # no strict gap
         with pytest.raises(DomainError):
-            certify_per_state(triple(1, 0.5, 0.0))  # zero min
+            certify(triple(1, 0.5, 0.0))  # zero min
 
     def test_equality_case_residual_zero(self):
         t = triple(1.3, 0.7, 0.7)
-        a = certify_per_state(t).alpha
+        a = certify(t).alpha
         assert residual(t, a) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -189,24 +188,24 @@ class TestTheorem3Relaxed:
     """log_c 2 on triples whose base ratio b is at least c (EC has b = log2 3)."""
 
     def test_three_halves(self):
-        assert certify_relaxed(EC, 1.5).alpha == pytest.approx(1.709511, abs=1e-5)
+        assert certify(EC, 1.5).alpha == pytest.approx(1.709511, abs=1e-5)
 
     def test_base_two(self):
-        assert certify_relaxed(triple(1, 0.4, 0.3), 2.0).alpha == pytest.approx(1.0, abs=1e-12)
+        assert certify(triple(1, 0.4, 0.3), 2.0).alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_equality_base(self):
-        assert certify_relaxed(EC, LOG2_3).alpha == pytest.approx(ALPHA_EC, abs=1e-12)
+        assert certify(EC, LOG2_3).alpha == pytest.approx(ALPHA_EC, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            certify_relaxed(EC, 1.0)
+            certify(EC, 1.0)
         with pytest.raises(DomainError):
-            certify_relaxed(EC, 0.3)
+            certify(EC, 0.3)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite(self, c):
         with pytest.raises(DomainError, match="finite"):
-            certify_relaxed(EC, c)
+            certify(EC, c)
 
 
 class TestMinAlpha:
@@ -439,23 +438,23 @@ class TestSweep:
 
 class TestCertificates:
     def test_per_state(self):
-        cert = certify_per_state(EC)
+        cert = certify(EC)
         assert cert.alpha == pytest.approx(ALPHA_EC, abs=1e-9)
         assert cert.residual_at_alpha == pytest.approx(0.0, abs=1e-9)
         assert cert.inputs["b"] == pytest.approx(LOG2_3, abs=1e-12)
 
     def test_relaxed(self):
-        cert = certify_relaxed(EC, 1.5)
+        cert = certify(EC, 1.5)
         assert cert.alpha == pytest.approx(1.709511, abs=1e-5)
         assert cert.residual_at_alpha >= 0
 
     def test_relaxed_base_above_b(self):
         with pytest.raises(DomainError):
-            certify_relaxed(EC, 1.6)
+            certify(EC, 1.6)
 
     def test_per_state_outside_domain(self):
         with pytest.raises(DomainError):
-            certify_per_state(triple(1, 1, 0.5))
+            certify(triple(1, 1, 0.5))
 
     @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
            st.sampled_from([MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE,
@@ -467,7 +466,7 @@ class TestCertificates:
         # computed log_b 2 can fall an ulp short of it
         b = np.array([b0, b1, b2, b2])
         t = measure_triple(w_class(*(b / np.linalg.norm(b))), mid)
-        cert = certify_per_state(t)
+        cert = certify(t)
         a0 = math.log(2.0) / math.log(cert.inputs["b"])
         assert cert.residual_at_alpha >= 0.0
         assert cert.residual_at_alpha == residual(t, cert.alpha)
