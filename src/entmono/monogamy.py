@@ -17,7 +17,6 @@ import enum
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,9 +30,6 @@ DEFAULT_EPS = 1e-9
 # Exponent search bracket; values in play are O(1), so exponents beyond 64
 # are numerically meaningless.
 ALPHA_MAX = 64.0
-BISECT_MAXITER = 200
-# scipy.optimize.bisect's default relative tolerance, kept so roots match it
-_BISECT_RTOL = 4 * sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -153,36 +149,30 @@ def residual(t: MeasureTriple, alpha: float) -> float:
 def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
     """Smallest exponent at which the residual turns non-negative.
 
-    Returns 0.0 when x is zero (monogamous at every exponent), math.inf when
-    x is unbounded (witness case) or the bracket fails, else the root found
-    by scipy.optimize.bisect's iteration on [tol, 64] to within tol, in the
-    residual of the triple over its cut value, 1 - u^a - v^a: it has the
-    residual's sign and does not underflow to a false 0.
+    0.0 when x is zero (monogamous at every exponent), math.inf when x is
+    unbounded (witness case) or the residual is negative at 64, tol when it
+    is >= 0 at tol.  Else the end hi of a bracket in [tol, 64] with
+    residual(lo) < 0 <= residual(hi), halved until no wider than tol or to
+    adjacent floats: at most tol above the root, its residual verified >= 0.
+    The residual is that of the triple over its cut value, 1 - u^a - v^a: it
+    keeps the residual's sign and does not underflow to a false 0.
     """
     _check_positive("tol", tol)
     kind = solve_x(t, 1.0, eps).kind
     if kind is not XKind.FINITE:
         return 0.0 if kind is XKind.ZERO else math.inf
     t = MeasureTriple(1.0, t.e_ab / t.e_abc, t.e_ac / t.e_abc, t.measure_id)
-    fa = residual(t, tol)
-    if fa >= 0.0:
+    if residual(t, tol) >= 0.0:
         return tol
-    fb = residual(t, ALPHA_MAX)
-    if fb < 0.0:
+    if residual(t, ALPHA_MAX) < 0.0:
         return math.inf
-    if fb == 0.0:
-        return ALPHA_MAX
-    # fa stays the residual at tol, as in scipy's loop
-    xa, dm = tol, ALPHA_MAX - tol
-    for _ in range(BISECT_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = residual(t, xm)
-        if fm * fa >= 0.0:
-            xa = xm
-        if fm == 0.0 or abs(dm) < tol + _BISECT_RTOL * abs(xm):
-            return xm
-    raise RuntimeError(f"bisection did not converge in {BISECT_MAXITER} steps, value is {xa}")
+    lo, hi = tol, ALPHA_MAX
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:  # no midpoint: adjacent floats
+        if residual(t, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def beta_curves(t: MeasureTriple, y_grid) -> list[tuple[float, float, float]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entmono import StateError, haar_random, save_state
+from entmono import MeasureId, MeasureTriple, StateError, haar_random, residual, save_state
 from entmono.cli import main, resolve_example
 from entmono.measures import LOG2_3
 
@@ -439,7 +439,13 @@ class TestCertify:
         assert cert["residual_at_alpha"] >= 0.0
         code, out, _ = run_cli(["analyze", *source], capsys)
         assert code == 0
-        assert json.loads(out)["per_state_exponent"]["alpha"] == cert["alpha"]
+        rec = json.loads(out)
+        assert rec["per_state_exponent"]["alpha"] == cert["alpha"]
+        # ...and min_alpha, the verified end of its bisection bracket
+        a = rec["min_alpha"]
+        assert residual(MeasureTriple(*rec["triple"], MeasureId(measure)), a) >= 0.0
+        if example == "afs":  # equal pair values: the root is log 2 / log log2 3
+            assert ALPHA_EC <= a <= ALPHA_EC + 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -250,8 +250,10 @@ class TestMinAlpha:
         elif f(monogamy.ALPHA_MAX) < 0.0:
             assert got == math.inf
         else:
-            ref = bisect(f, tol, monogamy.ALPHA_MAX, xtol=tol, maxiter=monogamy.BISECT_MAXITER)
-            assert got.hex() == float(ref).hex()
+            # the returned end of the bracket has a verified residual and is within
+            # tol of the root, as is scipy's midpoint
+            assert f(got) >= 0.0
+            assert abs(got - bisect(f, tol, monogamy.ALPHA_MAX, xtol=tol)) <= 2 * tol
 
     def test_tiny_triple_does_not_underflow(self):
         # residual(t, 64) of this triple underflows to 0.0, which once read as
@@ -260,17 +262,21 @@ class TestMinAlpha:
         assert t.e_abc == pytest.approx(7.4456e-6, rel=1e-4)
         assert residual(t, monogamy.ALPHA_MAX) == 0.0
         a = min_alpha(t)
-        assert a == 0.8254642820850462
+        assert a == pytest.approx(0.8254642820850462, abs=1e-6)
+        assert residual(triple(1.0, t.e_ab / t.e_abc, t.e_ac / t.e_abc), a) >= 0.0
         assert residual(t, a - 1e-5) < 0.0 <= residual(t, a + 1e-5)
 
     def test_exact_zero_at_bracket_end(self, monkeypatch):
         monkeypatch.setattr(monogamy, "residual", lambda t, a: 0.0 if a == monogamy.ALPHA_MAX else -1.0)
         assert min_alpha(triple(1.2, 1, 0.5)) == monogamy.ALPHA_MAX
 
-    def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(monogamy, "BISECT_MAXITER", 3)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            min_alpha(triple(1.2, 1, 0.5))
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_tiny_tol_ends_at_adjacent_floats(self, tol):
+        # a tol below the float spacing at the root still ends the bisection,
+        # with the sign change between the result and the float below it
+        a = min_alpha(triple(1.2, 1, 0.5), tol)
+        n = triple(1.0, 1 / 1.2, 0.5 / 1.2)
+        assert residual(n, math.nextafter(a, 0.0)) < 0.0 <= residual(n, a)
 
     def test_residual_nonnegative_beyond_threshold(self):
         rng = np.random.default_rng(6)
