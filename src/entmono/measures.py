@@ -18,8 +18,6 @@ from .states import reduced_density  # a module attribute here: bench/tracing.py
 
 LOG2_3 = math.log2(3.0)
 
-_TINY = np.finfo(float).tiny
-
 
 class MeasureError(ValueError):
     """Measure not applicable to the given state or dimensions."""
@@ -91,28 +89,27 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # --- the triple kernels: the cut, the spin-flip pairs, the searched pairs ---
 #
 # A triple is the A|BC cut and one value per pair, and A is a qubit in every
-# triple.  With M the 2 x (dB dC) block of A against BC, rho_A = M M^H, and by
-# Cauchy-Binet 2 (1 - Tr rho_A^2) = 4 det rho_A = 4 sum |M_0j M_1l - M_0l M_1j|^2
-# over column pairs j < l: a sum of non-negative terms, which does not cancel
-# on near-product cuts.  Every value is of degree 2 in psi and is divided by
-# its row's ||psi||^2 (_norm2): it refers to the normalized vector on every
-# dims, alike alone or in a batch.
+# triple.  Off three qubits, with M the 2 x (dB dC) block of A against BC,
+# rho_A = M M^H, and by Cauchy-Binet 2 (1 - Tr rho_A^2) = 4 det rho_A =
+# 4 sum |M_0j M_1l - M_0l M_1j|^2 over column pairs j < l: a sum of
+# non-negative terms, which does not cancel on near-product cuts.  Every
+# value is of degree 2 in psi and is divided by its row's ||psi||^2 (_norm2):
+# it refers to the normalized vector on every dims, alike alone or in a batch.
 #
 # A pair with a qubit partner takes the two-qubit closed form.  With psi its
 # 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
 # rho = psi psi^H is the set of singular values of the complex symmetric
-# a = psi^T (Y x Y) psi (Takagi route).  Each measure maps it: C = s1 - s2,
-# C_a = the sum (Laustsen-Verstraete-van Enk), E_F and S(rho_A) via
-# formation_of_concurrence.  On three qubits a is 2 x 2, and its singular
-# values come in float64 from the QR of its larger column first, as in
-# LAPACK's dlas2 (Demmel-Kahan 1990): f = the larger column norm, and
-# g = |col1^H col2| / f, h = |det a| / f are the moduli of the triangle
-# [[f, g], [0, h]], h <= f.  a is symmetric, so neither g nor h depends on
-# which column comes first.  With c = 2 / (sqrt((1 + h/f)^2 + (g/f)^2) +
-# sqrt((1 - h/f)^2 + (g/f)^2)), s1 = f / c and s2 = h c, each to a few ulps
-# of s1, so neither C nor C_a cancels near product, GHZ or W states.  h/f
-# is clipped at 1, where rounding can push it past, so that s2 <= s1.
-# Wider blocks (a qubit-qudit pair) take an SVD.
+# a = psi^T (Y x Y) psi (Takagi route), and C_a is their sum (Laustsen-
+# Verstraete-van Enk); a wider block (a qudit third party) takes an SVD.  On
+# three qubits a is 2 x 2, and the QR of its larger column, as in LAPACK's
+# dlas2 (Demmel-Kahan 1990), gives the triangle [[f, g], [0, h]]: f = the
+# larger column norm, g = |col1^H col2| / f, h = |det a| / f.  a is symmetric,
+# so neither depends on which column comes first.  With u = h/f (clipped at 1,
+# where rounding can push it past) and v = g/f, C = s1 - s2 = f sqrt((1 - u)^2
+# + v^2) and the three-tangle is tau = 4 s1 s2 = 4 u f^2, so C does not cancel
+# near product, GHZ or W states.  With p = C_AB^2, q = C_AC^2 and tau from AB,
+# the cut is sqrt(p + q + tau) (Coffman-Kundu-Wootters) and each C_a is
+# sqrt(C^2 + tau) (Laustsen-Verstraete-van Enk).
 #
 # A pair with a qubit assistant X is searched.  Measuring X along Bloch
 # direction n leaves A with the subnormalized marginal M(n) = Tr_X[rho_AX
@@ -163,16 +160,15 @@ def _cut_concurrence(m) -> np.ndarray:
 
 
 def _spinflip_values(psi) -> np.ndarray:
-    """Descending singular values of psi^T (Y x Y) psi for (..., 4, d) blocks with rows |ab>.
+    """Descending singular values of psi^T (Y x Y) psi for (..., 4, d) blocks with rows |ab>:
+    the nonzero sqrt-eigenvalues of rho * rho_tilde for the two-qubit rho = psi psi^H."""
+    r00, r01, r10, r11 = (psi[..., k, :, None] for k in range(4))
+    c00, c01, c10, c11 = (psi[..., k, None, :] for k in range(4))
+    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
 
-    They are the nonzero sqrt-eigenvalues of rho * rho_tilde for the
-    two-qubit rho = psi psi^H.  d = 2 takes the closed form above, and a
-    zero block gives (0, 0); wider blocks take an SVD.
-    """
-    if psi.shape[-1] != 2:
-        r00, r01, r10, r11 = (psi[..., k, :, None] for k in range(4))
-        c00, c01, c10, c11 = (psi[..., k, None, :] for k in range(4))
-        return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
+
+def _qubit_pair(psi):
+    """(C, tau), of degree 2 and 4 in psi, of (..., 4, 2) blocks with rows |ab> (see above)."""
     # (Y x Y) psi reverses the rows with signs (-, +, +, -)
     diag = 2.0 * (psi[..., 1, :] * psi[..., 2, :] - psi[..., 0, :] * psi[..., 3, :])
     a00, a11 = diag[..., 0], diag[..., 1]
@@ -180,13 +176,10 @@ def _spinflip_values(psi) -> np.ndarray:
     a01 = (q[..., 1] + q[..., 2]) - (q[..., 0] + q[..., 3])
     sq = diag.real * diag.real + diag.imag * diag.imag
     ff = np.maximum(sq[..., 0], sq[..., 1]) + (a01.real * a01.real + a01.imag * a01.imag)
-    ffs = np.maximum(ff, _TINY)  # f^2, or a positive stand-in where the block is zero
+    ffs = np.where(ff > 0.0, ff, 1.0)  # f^2 (subnormal too), or a stand-in where it is 0
     u = np.minimum(np.abs(a00 * a11 - a01 * a01) / ffs, 1.0)  # h / f
     v = np.abs(a00.conj() * a01 + a01.conj() * a11) / ffs      # g / f
-    vv = v * v
-    c = 2.0 / (np.sqrt((1.0 + u) * (1.0 + u) + vv) + np.sqrt((1.0 - u) * (1.0 - u) + vv))
-    f = np.sqrt(ff)
-    return np.stack([f / c, u * f * c], axis=-1)
+    return np.sqrt(ff) * np.sqrt((1.0 - u) * (1.0 - u) + v * v), 4.0 * u * ff
 
 
 def _sum3(p):
@@ -389,9 +382,10 @@ def _assistant_search(psi) -> np.ndarray:
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
     """C_a(rho_{A,partner}): the pair's column of the ca triple, on every dims it supports.
 
-    A qubit partner takes the closed form C_a = s1 + s2 (Laustsen, Verstraete and
-    van Enk 2003), whatever the assistant's dimension.  A qudit partner with a
-    qubit assistant is searched: a lower bound, at most the A|BC cut.
+    A qubit partner takes a closed form (Laustsen, Verstraete and van Enk 2003):
+    sqrt(C^2 + tau) on three qubits, the sum of the spin-flip values with a qudit
+    assistant.  A qudit partner with a qubit assistant is searched: a lower
+    bound, at most the A|BC cut.
     """
     partner = partner.upper()
     if partner not in ("B", "C"):
@@ -440,22 +434,26 @@ def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
 def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     """(N, 3) triples of N states given as amplitude rows, per unit ||psi||^2.
 
-    The cut is the Cauchy-Binet sum, a pair with a qubit partner maps its
-    spin-flip values (s1 >= s2, so C >= 0), and a pair with a qubit
-    assistant is searched; eof maps the concurrences.
+    Three qubits map (p, q, tau) from the pairs' closed form.  Off three
+    qubits (ca only) the cut is the Cauchy-Binet sum, a qubit partner's pair
+    sums its spin-flip values, and a qubit assistant's pair is searched.
     """
     dims = tuple(dims)
     _check_triple(dims, mid)
     t = np.asarray(amps).reshape((-1,) + dims)
     n = len(t)
-    blocks = {1: t, 2: t.swapaxes(2, 3)}  # pairs AB and AC: axes A, partner, the third party
+    nu = _norm2(t)
+    if dims == (2, 2, 2):
+        c, tau = _qubit_pair(np.stack([t, t.swapaxes(2, 3)]).reshape(2, n, 4, 2))
+        c /= nu
+        pq, tau = c * c, tau[0] / (nu * nu)  # (p, q) and tau from AB
+        if mid is MeasureId.CONCURRENCE_OF_ASSISTANCE:
+            c = np.sqrt(pq + tau)
+        triples = np.stack([np.sqrt(pq[0] + pq[1] + tau), c[0], c[1]], axis=1)
+        return formation_of_concurrence(triples) if mid is MeasureId.EOF else triples
     triples = np.empty((n, 3))
     triples[:, 0] = _cut_concurrence(t.reshape(n, 2, -1))
-    flip = [k for k in blocks if dims[k] == 2]  # the pairs with a qubit partner, in one call
-    s = _spinflip_values(np.stack([blocks[k] for k in flip], axis=1).reshape(n, len(flip), 4, -1))
-    ca = mid is MeasureId.CONCURRENCE_OF_ASSISTANCE
-    triples[:, flip] = s.sum(axis=2) if ca else s[..., 0] - s[..., 1]
-    for k in blocks.keys() - flip:  # a qubit assistant: only ca gets here (_check_triple)
-        triples[:, k] = _assistant_search(blocks[k])
-    triples /= _norm2(t)[:, None]
-    return formation_of_concurrence(triples) if mid is MeasureId.EOF else triples
+    for k, psi in ((1, t), (2, t.swapaxes(2, 3))):  # axes A, partner, the third party
+        triples[:, k] = (_spinflip_values(psi.reshape(n, 4, -1)).sum(axis=1) if dims[k] == 2
+                         else _assistant_search(psi))  # a qubit assistant (_check_triple)
+    return triples / nu[:, None]

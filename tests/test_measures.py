@@ -28,11 +28,14 @@ from entmono.measures import (
     _cut_concurrence,
     _det_form,
     _measure_triples,
+    _norm2,
+    _qubit_pair,
     _spinflip_values,
     assisted_concurrence,
     binary_entropy,
     formation_of_concurrence,
 )
+from entmono.monogamy import sweep
 from entmono.states import family_rows, stream_words
 from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
                        full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum, validate,
@@ -378,6 +381,10 @@ class TestSpinFlipKernel:
         assert spectra[0] == pytest.approx(np.array([[2 / 3, 0.0], [2 / 3, 0.0]]), abs=1e-15)
         # GHZ: the cut is 1, and the pairs are separable with equal spectra (1/2, 1/2)
         assert spectra[1] == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]), abs=1e-15)
+        # the closed form's (C, tau) of the same blocks: W (2/3, 0) and GHZ (0, 1) on both pairs
+        c, tau = _qubit_pair(np.stack([t.reshape(2, 4, 2), t.swapaxes(2, 3).reshape(2, 4, 2)]))
+        assert c == pytest.approx(np.array([[2 / 3, 0.0], [2 / 3, 0.0]]), abs=1e-15)
+        assert tau == pytest.approx(np.array([[0.0, 1.0], [0.0, 1.0]]), abs=1e-15)
 
 
 # --- the float64 closed form on near-degenerate states ---------------------
@@ -404,7 +411,23 @@ class TestClosedFormKernel:
         c = np.stack([cut, 2.0 * l0 * l3, 2.0 * l0 * l2], axis=1)
         ca = np.stack([cut, 2.0 * l0 * np.hypot(l3, l4), 2.0 * l0 * np.hypot(l2, l4)], axis=1)
         for mid, exact in ((MeasureId.CONCURRENCE, c), (MeasureId.CONCURRENCE_OF_ASSISTANCE, ca)):
-            assert np.abs(_measure_triples((2, 2, 2), amps, mid) - exact).max() <= 8 * EPS
+            got = _measure_triples((2, 2, 2), amps, mid)
+            assert np.abs(got - exact).max() <= 8 * EPS
+            # relative too: a pair's C small next to tau does not cancel
+            nonzero = exact != 0
+            assert np.all(np.abs(got[nonzero] / exact[nonzero] - 1) <= 8 * EPS)
+            assert np.all(got[~nonzero] == 0)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-155, 1e-157])
+    def test_subnormal_pair_blocks(self, s):
+        # below pair values of about 1e-154 a block's f^2 is subnormal: it keeps
+        # the precision a subnormal has, about 2^-1074 / s^2 relative
+        amps = from_schmidt(SchmidtParams((1.0, 0.0, s, s, s), 0.0)).amps[None]
+        tol = 8 * EPS + 2.0 ** -1074 / (s * s)
+        for mid, pair in ((MeasureId.CONCURRENCE, 2.0),
+                          (MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0 * math.sqrt(2.0))):
+            exact = np.array([2.0 * math.sqrt(3.0) * s, pair * s, pair * s])
+            assert np.all(np.abs(_measure_triples((2, 2, 2), amps, mid)[0] / exact - 1) <= tol)
 
     @given(st.lists(st.tuples(_LOG_COEF, _PHASE), min_size=4, max_size=4))
     @settings(max_examples=300, deadline=None)
@@ -428,6 +451,8 @@ class TestClosedFormKernel:
 
     def test_zero_block(self):
         assert _spinflip_values(np.zeros((2, 4, 2), dtype=complex)).tolist() == [[0.0, 0.0]] * 2
+        c, tau = _qubit_pair(np.zeros((2, 4, 2), dtype=complex))
+        assert c.tolist() == tau.tolist() == [0.0, 0.0]
         product = pure_state_new((2, 2, 2), np.eye(8)[0])  # every pair block a is zero
         for mid in (MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE, MeasureId.EOF):
             assert measure_triple(product, mid).as_tuple() == (0.0, 0.0, 0.0)
@@ -443,6 +468,34 @@ class TestClosedFormKernel:
                     MeasureId.EOF: formation_of_concurrence(c)}
         for mid, ref in expected.items():
             assert np.abs(_measure_triples((2, 2, 2), amps, mid) - ref).max() <= 1e-15
+
+
+class TestThreeQubitIdentities:
+    """The (2,2,2) values from (p, q, tau) against the routes they replaced,
+    which stay for the qubit-qudit dims: the Cauchy-Binet cut and the SVD sum."""
+
+    @pytest.mark.parametrize("family", ["haar", "w_class", "schmidt"])
+    def test_cut_and_assistance_match_the_old_routes(self, family):
+        for seed in range(5):
+            amps = family_rows((2, 2, 2), family, stream_words(seed, 0, 4096))
+            t = amps.reshape(-1, 2, 2, 2)
+            nu = _norm2(t)
+            ca = _measure_triples((2, 2, 2), amps, MeasureId.CONCURRENCE_OF_ASSISTANCE)
+            # Coffman-Kundu-Wootters: cut^2 = p + q + tau
+            cut = _cut_concurrence(t.reshape(-1, 2, 4)) / nu
+            assert np.all(np.abs(ca[:, 0] / cut - 1) <= 4 * EPS)
+            # Laustsen-Verstraete-van Enk: C_a = s1 + s2 = sqrt(C^2 + tau)
+            for k, psi in ((1, t), (2, t.swapaxes(2, 3))):
+                svd = _spinflip_values(psi.reshape(-1, 4, 2)).sum(axis=1) / nu
+                assert np.all(np.abs(ca[:, k] / svd - 1) <= 32 * EPS)
+
+    @pytest.mark.parametrize("mid", ["c", "ca", "eof"])
+    def test_sweep_needs_no_cauchy_binet_cut(self, monkeypatch, mid):
+        def refuse(m):
+            raise AssertionError("the Cauchy-Binet cut ran on three qubits")
+
+        monkeypatch.setattr("entmono.measures._cut_concurrence", refuse)
+        assert sweep((2, 2, 2), MeasureId(mid), 2.0, 600, 11).finite_count > 0
 
 
 # --- the batched projective search against Nelder-Mead ----------------------

@@ -571,7 +571,7 @@ class TestSweepGoldens:
     clongdouble kernel (purity-form cut, trace and determinant of a^H a)
     to the Cauchy-Binet cut and the float64 closed form, whose values lie
     within a few ulps of their exact ones; every count, violation and
-    witness index stayed.  (The w_class x, exactly 1, reads 1 + 5.3e-13 at
+    witness index stayed.  (The w_class x, exactly 1, then read 1 + 5.3e-13 at
     sample 183: in exact arithmetic its float64 triple, whose relative gap
     is 3.2e-4, already gives 1 + 3.78e-13, and the powered gap cut^2 - max^2
     adds the remaining 1.5e-13.)  eof values come from the spectral formula
@@ -589,7 +589,13 @@ class TestSweepGoldens:
     1e-05 at y 2 and 0.5, and the largest x of ca eps 1e-05 at y 0.5.  The
     two ca eps 1e-05 cases now share their 13 witnesses.  When every dims
     came to divide its values by ||psi||^2, as (2,2,2) already did, the
-    (2,2,3) ca largest x moved by 8e-16 relative, within its bound.
+    (2,2,3) ca largest x moved by 8e-16 relative, within its bound.  When
+    every (2,2,2) value came to be a map of (p, q, tau) from the pairs'
+    closed form, six cases were re-recorded with every count, violation and
+    witness index kept (c and ca w_class, c and ca schmidt at eps 1e-09, ca
+    schmidt at eps 1e-05 and y 2 and 0.5): the w_class x now reads
+    1 + 1.0e-13, and the c schmidt x, 0.9999998913833333, lies 4.1e-15 from
+    its 50-digit value, against 1.2e-15 before.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
