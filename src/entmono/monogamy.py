@@ -27,10 +27,6 @@ from .measures import MeasureId, MeasureTriple
 
 DEFAULT_EPS = 1e-9
 
-# Exponent search bracket; values in play are O(1), so exponents beyond 64
-# are numerically meaningless.
-ALPHA_MAX = 64.0
-
 
 class DomainError(ValueError):
     """Triple outside the domain of the requested operation."""
@@ -84,6 +80,11 @@ def _check_eps(eps):
 _KINDS = (XKind.ZERO, XKind.FINITE, XKind.UNBOUNDED)
 
 
+def _log_ratio(cut, v):
+    """log(cut / v) from the gap, exact for cut / 2 <= v < cut (Sterbenz)."""
+    return np.log1p((cut - v) / v)
+
+
 def _classify(triples, y, eps):
     """The x-rule on (N, 3) rows (cut, e_ab, e_ac), with max and min the pair values.
 
@@ -92,9 +93,9 @@ def _classify(triples, y, eps):
     below eps or 0 (this takes precedence when the gap vanishes too);
     Unbounded when the gap cut - max is below eps or not positive, as it is
     for a monotonicity violation (cut below max by more than eps); else
-    Finite with x = min^y / (cut^y - max^y).  y, a float or an array as
-    long as the values, only scales x: a Finite entry whose powered gap
-    leaves the float range or rounds to 0 raises DomainError.
+    Finite with x = min^y / (cut^y - max^y) = (min/cut)^y / -expm1(-y log(cut/max)).
+    y, a float or an array as long as the values, only scales x: a Finite x
+    that is not finite (y below about 1e-290) raises DomainError.
     """
     cut, ab, ac = triples.T
     hi, lo = np.maximum(ab, ac), np.minimum(ab, ac)
@@ -102,14 +103,11 @@ def _classify(triples, y, eps):
     zero = (lo < eps) | (lo == 0.0)
     unbounded = ~zero & ((cut - hi < eps) | (cut - hi <= 0.0))
     finite = ~(zero | unbounded)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = lo ** y
-        gap = cut ** y - hi ** y
-    if not ((0.0 < gap) & (gap < math.inf))[finite].all():
-        raise DomainError(f"cut^y - max^y overflows or rounds to 0 at y={np.max(y)}")
-    x = np.zeros(len(m))
-    x[unbounded] = math.inf
-    np.divide(m, gap, out=x, where=finite)
+    x = np.where(unbounded, math.inf, 0.0)
+    with np.errstate(all="ignore"):  # only the finite rows are read
+        np.divide((lo / cut) ** y, -np.expm1(-y * _log_ratio(cut, hi)), out=x, where=finite)
+    if not np.isfinite(x[finite]).all():
+        raise DomainError(f"x is not finite at y={np.max(y)}")
     return finite + 2 * unbounded, x, violation
 
 
@@ -146,29 +144,42 @@ def residual(t: MeasureTriple, alpha: float) -> float:
     return r
 
 
+# With equal pair values the residual at log_b 2 is 0 in exact arithmetic, and the
+# computed log_b 2 can fall an ulp short of it; no measured triple needed over 2 steps up.
+_ALPHA_STEPS = 8
+
+
+def _step_up(f, alpha, t):
+    """(a, f(a)) for the first float a >= alpha with f(a) >= 0, within _ALPHA_STEPS."""
+    for _ in range(_ALPHA_STEPS):
+        r = f(alpha)
+        if r >= 0.0:
+            return alpha, r
+        alpha = math.nextafter(alpha, math.inf)
+    raise DomainError(f"residual stays negative up to alpha={alpha} for triple {t.as_tuple()}")
+
+
 def min_alpha(t: MeasureTriple, tol: float = 1e-6, eps: float = DEFAULT_EPS) -> float:
     """Smallest exponent at which the residual turns non-negative.
 
     0.0 when x is zero (monogamous at every exponent), math.inf when x is
-    unbounded (witness case) or the residual is negative at 64, tol when it
-    is >= 0 at tol.  Else the end hi of a bracket in [tol, 64] with
-    residual(lo) < 0 <= residual(hi), halved until no wider than tol or to
-    adjacent floats: at most tol above the root, its residual verified >= 0.
-    The residual is that of the triple over its cut value, 1 - u^a - v^a: it
-    keeps the residual's sign and does not underflow to a false 0.
+    unbounded (witness case), tol when the residual is >= 0 at tol.  Else
+    the end hi of a bracket [tol, log_b 2] with residual(lo) < 0 <=
+    residual(hi), halved until no wider than tol or to adjacent floats: at
+    most tol above the root, its residual verified >= 0.  The residual is
+    the scale-free 1 - e^(-a log(cut/max)) - e^(-a log(cut/min)).
     """
     _check_positive("tol", tol)
     kind = solve_x(t, 1.0, eps).kind
     if kind is not XKind.FINITE:
         return 0.0 if kind is XKind.ZERO else math.inf
-    t = MeasureTriple(1.0, t.e_ab / t.e_abc, t.e_ac / t.e_abc, t.measure_id)
-    if residual(t, tol) >= 0.0:
+    log_lo, log_hi = _log_ratio(t.e_abc, np.sort([t.e_ab, t.e_ac])).tolist()
+    f = lambda a: -math.expm1(-a * log_hi) - math.exp(-a * log_lo)
+    if f(tol) >= 0.0:
         return tol
-    if residual(t, ALPHA_MAX) < 0.0:
-        return math.inf
-    lo, hi = tol, ALPHA_MAX
+    lo, hi = tol, _step_up(f, math.log(2.0) / log_hi, t)[0]
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:  # no midpoint: adjacent floats
-        if residual(t, mid) < 0.0:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -325,18 +336,13 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
 
 # --- certificates -----------------------------------------------------------
 
-# When the pair values are equal the residual at log_b 2 is 0 in exact
-# arithmetic, and the computed log_b 2 can fall an ulp or so short of it; no
-# measured triple needed more than 3 steps up.
-_ALPHA_STEPS = 8
-
-
 def certify(t: MeasureTriple, c: float | None = None) -> Certificate:
     """Theorem 3: the exponent log_c 2 for a base 1 < c <= b = cut / max-pair value.
 
-    Per-state (c = b) when c is None, relaxed otherwise.  The exponent is
-    stepped up to the first float whose residual is >= 0, and returned with
-    that verified residual; DomainError if none is within _ALPHA_STEPS steps.
+    Per-state (c = b, with log b from the exact gap) when c is None, relaxed
+    otherwise.  The exponent is stepped up to the first float whose residual
+    is >= 0, and returned with that verified residual; DomainError if none
+    is within _ALPHA_STEPS steps.
     """
     cut, hi, lo = t.e_abc, max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
     if lo <= 0 or cut <= hi:
@@ -347,14 +353,8 @@ def certify(t: MeasureTriple, c: float | None = None) -> Certificate:
     b = cut / hi
     kind = CertificateKind.THEOREM3_PER_STATE if c is None else CertificateKind.THEOREM3_RELAXED
     inputs = {"b": b} if c is None else {"b": b, "c": c}
-    c = b if c is None else c
-    if not (1.0 < c <= b and c < math.inf):
+    if c is not None and not (1.0 < c <= b and c < math.inf):
         raise DomainError(f"relaxed base must be finite and satisfy 1 < c <= b = {b}, got {c}")
-    alpha = math.log(2.0) / math.log(c)
-    for _ in range(_ALPHA_STEPS):
-        r = residual(t, alpha)
-        if r >= 0.0:
-            return Certificate(kind, alpha, {**inputs, "triple": t.as_tuple()}, r)
-        alpha = math.nextafter(alpha, math.inf)
-    raise DomainError(f"residual stays negative up to alpha={alpha} for triple {t.as_tuple()}")
-
+    log_c = _log_ratio(cut, hi).item() if c is None else math.log(c)
+    alpha, r = _step_up(lambda a: residual(t, a), math.log(2.0) / log_c, t)
+    return Certificate(kind, alpha, {**inputs, "triple": t.as_tuple()}, r)

@@ -1,9 +1,13 @@
 """References that tests hold the batch code to; no package path calls them.
 
 Mixed-state formulas on density matrices, the extended-precision three-qubit
-kernel, the dense assistant search and its full-Gram ascent step, and family
-states drawn from numpy's own Generators.
+kernel, the dense assistant search and its full-Gram ascent step, family
+states drawn from numpy's own Generators, and x and the residual of a float
+triple at 60 significant digits.
 """
+
+import functools
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -216,3 +220,29 @@ def numpy_family_rows(dims, family, seeds) -> np.ndarray:
             amps[4] *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rows.append(amps / np.linalg.norm(amps))
     return np.array(rows).reshape(-1, total)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _ln(v):
+    """The natural log of a float at 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(v).ln()
+
+
+def x_exact(cut, hi, lo, y):
+    """x = lo^y / (cut^y - hi^y) of float inputs, at 60 significant digits
+    (stdlib decimal ln and exp), rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        power = lambda v: (Decimal(y) * (_ln(v) - _ln(cut))).exp()  # (v / cut)^y
+        return float(power(lo) / (1 - power(hi)))
+
+
+def scale_free_residual(cut, hi, lo, a):
+    """1 - (hi/cut)^a - (lo/cut)^a of float inputs, at 60 significant digits:
+    a Decimal whose sign is that of the triple's residual at a."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        power = lambda v: (Decimal(a) * (_ln(v) - _ln(cut))).exp()
+        return 1 - power(hi) - power(lo)

@@ -153,6 +153,35 @@ class TestAnalyze:
         assert rec["non_monogamy_witness"] is False
         assert abs(rec["x"]["value"] - 1.0) <= 1e-5
 
+    def test_lookup_large_y_is_finite(self, capsys):
+        # log2(3)^2000 overflows, but x is read from (min/cut)^y and log(cut/max):
+        # finite, with a value that underflows to 0
+        code, out, _ = run_cli(["analyze", "--example", "afs", "--measure", "ec-lookup",
+                                "--y", "2000"], capsys)
+        assert code == 0
+        assert json.loads(out)["x"] == {"kind": "finite", "y": 2000.0, "value": 0.0}
+
+    @pytest.mark.parametrize("example,measure,alpha", [
+        ("w", "c", 2.0),  # CKW
+        ("afs", "ec-lookup", 1.5050070664324333),  # log 2 / log log2 3
+        ("wclass:0,0.7071067811865476,0.5,0.5", "eof", 1.3608021083178212),  # alpha*_F
+    ])
+    def test_closed_form_min_alpha(self, capsys, example, measure, alpha):
+        # equal pair values: the root is Theorem 3's log_b 2, read from the exact gap
+        code, out, _ = run_cli(["analyze", "--example", example, "--measure", measure], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["min_alpha"] - alpha) <= 2 * math.ulp(alpha)
+
+    def test_min_alpha_above_64(self, capsys):
+        # a near-GHZ state whose root, 344.07, once lay above the bracket's fixed end
+        code, out, _ = run_cli(["analyze", "--example", "schmidt:0.7071,0,0.01,0.1,0.7071,0",
+                                "--measure", "ca"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["x"]["kind"] == "finite"
+        a, a3 = rec["min_alpha"], rec["per_state_exponent"]["alpha"]
+        assert 300.0 < a <= a3 + 4 * math.ulp(a3)
+
     def test_kind_decided_twice(self, capsys, monkeypatch):
         # by solve_x, and by min_alpha at y = 1; the witness flag is solve_x's kind
         from entmono import monogamy
@@ -372,10 +401,9 @@ class TestRejectedInputs:
         ["analyze", "--example", "afs", "--measure", "ec-lookup", "--alpha", "2000"],
         ["certify", "--example", "afs", "--measure", "ec-lookup", "--mode", "relaxed",
          "--c", "1.0000000000001"],
-        ["analyze", "--example", "afs", "--measure", "ec-lookup", "--y", "2000"],
     ])
     def test_residual_overflow(self, capsys, argv):
-        # log2(3)^alpha or log2(3)^y leaves the float range: an error, not a traceback or inf
+        # log2(3)^alpha leaves the float range: an error, not a traceback or inf
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert err.startswith("error:") and "overflows" in err
@@ -446,6 +474,14 @@ class TestCertify:
         assert residual(MeasureTriple(*rec["triple"], MeasureId(measure)), a) >= 0.0
         if example == "afs":  # equal pair values: the root is log 2 / log log2 3
             assert ALPHA_EC <= a <= ALPHA_EC + 1e-6
+
+    def test_near_ghz_equal_pairs(self, capsys):
+        # b = 1 + 1e-6: log b of the rounded quotient was off by far more than
+        # the certificate's steps could repair; log1p of the exact gap is not
+        code, out, _ = run_cli(["certify", "--example", "schmidt:0.7071,0,0.001,0.001,0.7071,0",
+                                "--measure", "ca"], capsys)
+        assert code == 0
+        assert json.loads(out)["residual_at_alpha"] >= 0.0
 
 
 @pytest.fixture(scope="module")

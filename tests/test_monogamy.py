@@ -31,12 +31,14 @@ from entmono import (
 )
 from entmono import monogamy, states
 from entmono.measures import LOG2_3, MeasureError
+from entmono.measures import _measure_triples
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
 from entmono.states import _StateWords, family_rows, stream_words
-from reference import numpy_family_rows
+from reference import numpy_family_rows, scale_free_residual, x_exact
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
+X_ULPS = 16 * 2.0**-52  # x's relative error bound against its 60-digit value
 
 
 def triple(a, b, c, mid=MeasureId.CONCURRENCE):
@@ -71,11 +73,13 @@ class TestSolveX:
         with pytest.raises(MonotonicityError):
             solve_x(triple(0.5, 0.9, 0.1), 2.0)
 
-    def test_powered_gap_rounding_to_zero_rejected(self):
-        # finite by a gap of one ulp at eps 0, but cut^y and max^y round to
-        # the same float at y = 1e-3: an error, not a guessed kind or x
-        with pytest.raises(DomainError, match="rounds to 0"):
-            solve_x(triple(1.0, 1 - 2**-52, 0.5), 1e-3, 0.0)
+    def test_one_ulp_gap_at_small_y_is_finite(self):
+        # finite by a gap of one ulp at eps 0: cut^y and max^y round to the
+        # same float at y = 1e-3, but log(cut/max) from the gap does not
+        sol = solve_x(triple(1.0, 1 - 2**-52, 0.5), 1e-3, 0.0)
+        assert sol.kind is XKind.FINITE
+        assert sol.x == pytest.approx(4.50e18, rel=1e-3)
+        assert abs(sol.x / x_exact(1.0, 1 - 2**-52, 0.5, 1e-3) - 1) <= X_ULPS
 
     def test_bad_y(self):
         with pytest.raises(DomainError):
@@ -233,42 +237,45 @@ class TestMinAlpha:
         st.floats(0.0, 1.0),
         st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 0.5),
     )
-    @example(cut=1.0, f1=0.99999, f2=0.99 / 0.99999, tol=1e-6)  # no witness, no root below 64
+    @example(cut=1.0, f1=0.99999, f2=0.99 / 0.99999, tol=1e-6)  # its root, 459, is above 64
     @settings(max_examples=400, deadline=None)
     def test_matches_scipy_bisect(self, cut, f1, f2, tol):
         from scipy.optimize import bisect
 
         t = triple(cut, cut * f1, cut * f1 * f2)
         got = min_alpha(t, tol)
+        hi, lo = max(t.e_ab, t.e_ac), min(t.e_ab, t.e_ac)
         # min_alpha bisects the residual of the triple over its cut value
-        n = triple(1.0, t.e_ab / cut, t.e_ac / cut)
-        f = lambda a: residual(n, a)
-        if min(t.e_ab, t.e_ac) < 1e-9 or abs(cut - max(t.e_ab, t.e_ac)) < 1e-9:
+        f = lambda a: float(scale_free_residual(cut, hi, lo, a))
+        if lo < 1e-9 or abs(cut - hi) < 1e-9:
             assert got in (0.0, math.inf)
         elif f(tol) >= 0.0:
             assert got == tol
-        elif f(monogamy.ALPHA_MAX) < 0.0:
-            assert got == math.inf
         else:
-            # the returned end of the bracket has a verified residual and is within
-            # tol of the root, as is scipy's midpoint
-            assert f(got) >= 0.0
-            assert abs(got - bisect(f, tol, monogamy.ALPHA_MAX, xtol=tol)) <= 2 * tol
+            # finite and at most Theorem 3's exponent; the returned end of the
+            # bracket is at most 4 ulps below the root and within tol of it,
+            # as is scipy's midpoint, whose default rtol of 4 eps adds up to
+            # 8 ulps where a root above 64 has a float spacing near tol
+            a3 = math.log(2.0) / float(np.log1p((cut - hi) / hi))
+            assert got <= a3 + 4 * math.ulp(a3)
+            assert f(got + 4 * math.ulp(got)) >= 0.0
+            assert abs(got - bisect(f, tol, 2 * a3, xtol=tol)) <= 2 * tol + 12 * math.ulp(got)
 
     def test_tiny_triple_does_not_underflow(self):
         # residual(t, 64) of this triple underflows to 0.0, which once read as
-        # a root at the bracket end; the scale-free residual keeps its sign
+        # a root at the bracket end 64; the scale-free residual keeps its sign
         t = measure_triple(_sample_state((2, 2, 2), "schmidt", 11, 65), MeasureId.EOF)
         assert t.e_abc == pytest.approx(7.4456e-6, rel=1e-4)
-        assert residual(t, monogamy.ALPHA_MAX) == 0.0
+        assert residual(t, 64.0) == 0.0
         a = min_alpha(t)
-        assert a == pytest.approx(0.8254642820850462, abs=1e-6)
+        assert a == pytest.approx(0.8254650739676203, abs=1e-6)  # the 60-digit root
         assert residual(triple(1.0, t.e_ab / t.e_abc, t.e_ac / t.e_abc), a) >= 0.0
         assert residual(t, a - 1e-5) < 0.0 <= residual(t, a + 1e-5)
 
-    def test_exact_zero_at_bracket_end(self, monkeypatch):
-        monkeypatch.setattr(monogamy, "residual", lambda t, a: 0.0 if a == monogamy.ALPHA_MAX else -1.0)
-        assert min_alpha(triple(1.2, 1, 0.5)) == monogamy.ALPHA_MAX
+    def test_exact_zero_at_bracket_end(self):
+        # b = 2 with equal pair values: the residual is exactly 0 at the upper
+        # end log_b 2 = 1, which every midpoint falls short of
+        assert min_alpha(triple(2.0, 1.0, 1.0)) == 1.0
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
     def test_tiny_tol_ends_at_adjacent_floats(self, tol):
@@ -473,7 +480,8 @@ class TestCertificates:
         b = np.array([b0, b1, b2, b2])
         t = measure_triple(w_class(*(b / np.linalg.norm(b))), mid)
         cert = certify(t)
-        a0 = math.log(2.0) / math.log(cert.inputs["b"])
+        hi = max(t.e_ab, t.e_ac)
+        a0 = math.log(2.0) / float(np.log1p((t.e_abc - hi) / hi))
         assert cert.residual_at_alpha >= 0.0
         assert cert.residual_at_alpha == residual(t, cert.alpha)
         assert a0 <= cert.alpha <= a0 + 4 * math.ulp(a0)
@@ -481,14 +489,13 @@ class TestCertificates:
 
 def _per_sample_rule(cut, hi, lo, y, eps):
     """The x-rule sample by sample: the kind from the unpowered values, as
-    at y = 1, and x from the powered ones."""
+    at y = 1, and x from the powered ones at 60 digits."""
     cut, hi, lo = float(cut), float(hi), float(lo)
-    pw = lambda v: float((np.array([v]) ** y)[0])  # numpy's array power, as _classify takes it
     if lo < eps or lo == 0.0:
         return XKind.ZERO, 0.0
     if cut - hi < eps or cut - hi <= 0.0:  # a violation's negative gap counts as vanished
         return XKind.UNBOUNDED, math.inf
-    return XKind.FINITE, pw(lo) / (pw(cut) - pw(hi))
+    return XKind.FINITE, x_exact(cut, hi, lo, y)
 
 
 class TestClassify:
@@ -504,10 +511,60 @@ class TestClassify:
             kind, x, violation = _classify(np.stack([cut, hi, lo], axis=1), y, eps)
             for k in range(cut.size):
                 ref = _per_sample_rule(cut[k], hi[k], lo[k], y, eps)
-                assert (_KINDS[kind[k]], x[k]) == ref
+                assert _KINDS[kind[k]] is ref[0]
+                if ref[0] is XKind.FINITE:
+                    assert abs(x[k] - ref[1]) <= X_ULPS * ref[1]
+                else:
+                    assert x[k] == ref[1]
                 assert violation[k] == (cut[k] < hi[k] - eps)
                 seen.add((ref[0], bool(violation[k])))
         assert seen == {(kind, v) for kind in XKind for v in (False, True)} - {(XKind.FINITE, True)}
+
+
+_SAMPLED_SETS = [(family, mid) for family in ("haar", "w_class", "schmidt")
+                 for mid in (MeasureId.CONCURRENCE, MeasureId.CONCURRENCE_OF_ASSISTANCE,
+                             MeasureId.EOF)]
+
+
+def _sampled_triples(family, mid, n=200):
+    """Rows (cut, e_ab, e_ac) of the first n sweep samples at seed 3."""
+    return _measure_triples((2, 2, 2), family_rows((2, 2, 2), family, stream_words(3, 0, n)), mid)
+
+
+class TestExponentAccuracy:
+    """x and min_alpha of sampled triples against their 60-digit values."""
+
+    @pytest.mark.parametrize("family, mid", _SAMPLED_SETS)
+    def test_x_within_16_ulps(self, family, mid):
+        triples = _sampled_triples(family, mid)
+        cut, hi, lo = triples[:, 0], triples[:, 1:].max(axis=1), triples[:, 1:].min(axis=1)
+        for y in (0.5, 2.0, 5.0):
+            kind, x, _ = _classify(triples, y, monogamy.DEFAULT_EPS)
+            for k in np.flatnonzero(kind == 1):
+                ref = x_exact(cut[k], hi[k], lo[k], y)
+                assert abs(x[k] - ref) <= X_ULPS * ref, (k, y)
+
+    @pytest.mark.parametrize("family, mid", _SAMPLED_SETS + [("w_equal", MeasureId.CONCURRENCE),
+                                                            ("w_equal", MeasureId.EOF)])
+    def test_min_alpha_brackets_root(self, family, mid):
+        # finite on every finite triple, at most 4 ulps below the root and
+        # less than tol above it; w_equal rows have equal pair values, whose
+        # root is log_b 2 itself
+        if family == "w_equal":
+            b = np.random.default_rng(5).uniform(0.05, 1.0, (200, 3))[:, [0, 1, 2, 2]]
+            triples = np.array([measure_triple(w_class(*(r / np.linalg.norm(r))), mid).as_tuple()
+                                for r in b])
+        else:
+            triples = _sampled_triples(family, mid)
+        tol = 1e-6
+        finite = _classify(triples, 1.0, monogamy.DEFAULT_EPS)[0] == 1
+        assert finite.sum() > 100
+        for cut, ab, ac in triples[finite].tolist():
+            a = min_alpha(triple(cut, ab, ac, mid), tol)
+            hi, lo = max(ab, ac), min(ab, ac)
+            assert math.isfinite(a)
+            assert scale_free_residual(cut, hi, lo, a + 4 * math.ulp(a)) >= 0
+            assert a == tol or scale_free_residual(cut, hi, lo, a - tol) < 0
 
 
 class TestKindIndependentOfY:
@@ -595,7 +652,12 @@ class TestSweepGoldens:
     witness index kept (c and ca w_class, c and ca schmidt at eps 1e-09, ca
     schmidt at eps 1e-05 and y 2 and 0.5): the w_class x now reads
     1 + 1.0e-13, and the c schmidt x, 0.9999998913833333, lies 4.1e-15 from
-    its 50-digit value, against 1.2e-15 before.
+    its 50-digit value, against 1.2e-15 before.  When x came to be read as
+    (min/cut)^y / -expm1(-y log(cut/max)) instead of from the powered gap,
+    the same six cases were re-recorded, again with every count, violation
+    and witness index kept: each largest x now lies within 1.2 ulps of the
+    60-digit x of its float triple (the powered gap was up to 2.1e6 ulps
+    off), and the w_class x reads 1 + 2.8e-14.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
