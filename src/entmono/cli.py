@@ -210,13 +210,18 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def exit(self, status=0, message=None):  # a usage error exits 1: 2 means a witness
+        super().exit(status and EXIT_ERROR, message)
+
+
 def _add_source_args(p):
     p.add_argument("--example", help="named example (ghz, w, wclass:..., schmidt:..., e223, afs)")
     p.add_argument("--state", help="path to a state JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entmono",
         description="Decide and certify alpha-monogamy of entanglement measures "
         "on tripartite pure states.",
@@ -257,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (states.StateError, measures.MeasureError, monogamy.DomainError,

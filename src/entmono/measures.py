@@ -100,8 +100,8 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
 # rho = psi psi^H is the set of singular values of the complex symmetric
 # a = psi^T (Y x Y) psi (Takagi route), and C_a is their sum (Laustsen-
-# Verstraete-van Enk); a wider block (a qudit third party) takes an SVD.  On
-# three qubits a is 2 x 2, and the QR of its larger column, as in LAPACK's
+# Verstraete-van Enk); a qudit takes an SVD, on d <= 4 (see _measure_triples).
+# On three qubits a is 2 x 2, and the QR of its larger column, as in LAPACK's
 # dlas2 (Demmel-Kahan 1990), gives the triangle [[f, g], [0, h]]: f = the
 # larger column norm, g = |col1^H col2| / f, h = |det a| / f.  a is symmetric,
 # so neither depends on which column comes first.  With u = h/f (clipped at 1,
@@ -324,9 +324,6 @@ def _assistant_search(psi) -> np.ndarray:
     leaves it, so the steps run on live searches only and a state's value
     does not depend on the rest of the batch.
     """
-    if psi.shape[2] > 4:  # the vectors psi[:, a, :, x] span at most 4 partner dims
-        r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
-        psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
     c0, quad0, lin0 = _det_form(psi)
     t0 = _minor_form(psi)
     nu = _norm2(psi)
@@ -413,10 +410,8 @@ def _check_triple(dims, mid: MeasureId):
         )
     if dims[0] != 2:
         raise MeasureError("assistance triple needs d_A = 2 for the A|BC cut")
-    for partner, k in (("B", 1), ("C", 2)):
-        if dims[k] != 2 and dims[3 - k] != 2:
-            raise MeasureError(
-                f"pair A{partner} needs a qubit partner or a qubit assistant, got dims {dims}")
+    if dims[1] != 2 and dims[2] != 2:
+        raise MeasureError(f"each pair needs a qubit partner or a qubit assistant, got dims {dims}")
 
 
 def measure_triple(state: PureTripartiteState, mid: MeasureId) -> MeasureTriple:
@@ -451,6 +446,10 @@ def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
             c = np.sqrt(pq + tau)
         triples = np.stack([np.sqrt(pq[0] + pq[1] + tau), c[0], c[1]], axis=1)
         return formation_of_concurrence(triples) if mid is MeasureId.EOF else triples
+    k = 1 if dims[1] != 2 else 2  # the qudit, if any (_check_triple)
+    if dims[k] > 4:  # its amplitude vectors, one per |a, qubit>, span at most 4 levels
+        r = np.linalg.qr(np.moveaxis(t, k + 1, 1).reshape(n, -1, 4), mode="r")
+        t = np.moveaxis(r.reshape(n, 4, 2, 2), 1, k + 1)
     triples = np.empty((n, 3))
     triples[:, 0] = _cut_concurrence(t.reshape(n, 2, -1))
     for k, psi in ((1, t), (2, t.swapaxes(2, 3))):  # axes A, partner, the third party

@@ -135,9 +135,6 @@ def dense_assistant_search(psi) -> np.ndarray:
     carried along, masked out of each update.  The starts come from a
     stable argsort of the grid.
     """
-    if psi.shape[2] > 4:
-        r = np.linalg.qr(psi.transpose(0, 2, 1, 3).reshape(len(psi), -1, 4), mode="r")
-        psi = r.reshape(-1, 4, 2, 2).transpose(0, 2, 1, 3)
     c, quad, lin = m._det_form(psi)
     t = m._minor_form(psi)
     tol = m._GAIN_TOL * m._norm2(psi)[:, None]

@@ -12,6 +12,7 @@ import pytest
 from entmono import MeasureId, MeasureTriple, StateError, haar_random, residual, save_state
 from entmono.cli import main, resolve_example
 from entmono.measures import LOG2_3
+from reference import scale_free_residual
 
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
 
@@ -152,6 +153,21 @@ class TestAnalyze:
         assert rec["x"]["kind"] == "finite"
         assert rec["non_monogamy_witness"] is False
         assert abs(rec["x"]["value"] - 1.0) <= 1e-5
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="item 10: min_alpha checks its residual's sign in float "
+                       "arithmetic only, with no error bound")
+    def test_min_alpha_residual_verified(self, capsys):
+        # b = cut / max = sqrt(2) up to rounding, so the root is log_b 2 = 2.
+        # Theorem 3 prints 1.9999999999999996, whose 60-digit residual is
+        # +3.1e-17; min_alpha prints 1.9999999999999993, where it is -4.6e-17
+        code, out, _ = run_cli(["analyze", "--example", "wclass:1,1,0.75,0.75", "--measure", "c"],
+                               capsys)
+        assert code == 0
+        rec = json.loads(out)
+        cut, hi, lo = rec["triple"]
+        assert scale_free_residual(cut, hi, lo, rec["per_state_exponent"]["alpha"]) >= 0
+        assert scale_free_residual(cut, hi, lo, rec["min_alpha"]) >= 0
 
     def test_lookup_large_y_is_finite(self, capsys):
         # log2(3)^2000 overflows, but x is read from (min/cut)^y and log(cut/max):
@@ -535,6 +551,18 @@ class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--example", "w"],  # no --measure
+        ["bogus"],
+        ["sweep", "--dims", "2,2,2", "--measure", "c", "--samples", "x"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse exits 2 on a usage error, which is the witness code here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: entmono" in capsys.readouterr().err
 
     def test_bad_measure(self, capsys):
         code, _, err = run_cli(["analyze", "--example", "ghz", "--measure", "xx"], capsys)

@@ -21,6 +21,7 @@ from entmono import (
     w_class,
     w_state,
 )
+from entmono import measures
 from entmono.measures import (
     LOG2_3,
     _ascent_step,
@@ -567,16 +568,46 @@ class TestAssistedSearch:
             assert assisted_concurrence(state, "B") == row[1]
             assert assisted_concurrence(state, "C") == row[2]
 
-    def test_partner_beyond_four_dims(self):
-        # a qutrit partner embedded in 6 dims by a random isometry: the search
-        # first rotates the partner onto the at most 4 dims the state uses
+    @pytest.mark.parametrize("narrow,wide", [((2, 2, 3), (2, 2, 6)), ((2, 2, 3), (2, 2, 64)),
+                                             ((2, 3, 2), (2, 6, 2)), ((2, 3, 2), (2, 64, 2))],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_partner_beyond_four_dims(self, narrow, wide):
+        # a qutrit embedded in a wider qudit by a random isometry: the triple
+        # first reduces the qudit to the at most 4 levels the state uses
+        mid, k = MeasureId.CONCURRENCE_OF_ASSISTANCE, 1 if narrow[1] == 3 else 2
         rng = np.random.default_rng(11)
-        for k in range(20):
-            state = haar_random((2, 2, 3), 80_000 + k)
-            embed = _local_unitary(rng, 6)[:, :3]
-            wide = pure_state_new((2, 2, 6), np.einsum("abc,dc->abd", state.tensor, embed).ravel())
-            assert assisted_concurrence(wide, "C") == pytest.approx(
-                assisted_concurrence(state, "C"), rel=0, abs=1e-14)
+        for i in range(20):
+            state = haar_random(narrow, 80_000 + i)
+            embed = _local_unitary(rng, wide[k])[:, :3]
+            amps = np.moveaxis(np.tensordot(state.tensor, embed, axes=([k], [1])), -1, k)
+            got = measure_triple(pure_state_new(wide, amps.ravel()), mid).as_tuple()
+            want = measure_triple(state, mid).as_tuple()
+            for j in (0, 3 - k):  # the cut and the qubit partner's closed form
+                assert got[j] == pytest.approx(want[j], rel=8 * np.finfo(float).eps, abs=0)
+            assert got[k] == pytest.approx(want[k], rel=0, abs=1e-14)  # the searched pair
+
+    @pytest.mark.parametrize("dims", [(2, 2, 64), (2, 64, 2)], ids=["2x2x64", "2x64x2"])
+    def test_kernels_see_at_most_four_levels(self, monkeypatch, dims):
+        # the triple reduces the qudit once, before the cut, the closed-form
+        # pair and the search, so no kernel runs on the full qudit
+        shapes = []
+
+        def recorded(name, kernel):
+            def call(x):
+                shapes.append((name, x.shape))
+                return kernel(x)
+            return call
+
+        for name in ("_cut_concurrence", "_spinflip_values", "_assistant_search"):
+            monkeypatch.setattr(measures, name, recorded(name, getattr(measures, name)))
+        rows = np.array([haar_random(dims, 85_000 + i).amps for i in range(4)])
+        _measure_triples(dims, rows, MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert sorted(name for name, _ in shapes) == ["_assistant_search", "_cut_concurrence",
+                                                      "_spinflip_values"]
+        levels = {"_cut_concurrence": lambda s: s[2] // 2, "_spinflip_values": lambda s: s[-1],
+                  "_assistant_search": lambda s: s[2]}
+        for name, shape in shapes:
+            assert shape[0] == 4 and levels[name](shape) <= 4, (name, shape)
 
     def test_e223(self):
         t = measure_triple(example_223(), MeasureId.CONCURRENCE_OF_ASSISTANCE)
