@@ -17,6 +17,7 @@ from .states import PureTripartiteState
 from .states import reduced_density  # a module attribute here: bench/tracing.py spans it by name
 
 LOG2_3 = math.log2(3.0)
+_EPS = np.finfo(float).eps
 
 
 class MeasureError(ValueError):
@@ -99,8 +100,16 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # A pair with a qubit partner takes the two-qubit closed form.  With psi its
 # 4 x d amplitude block, rows |ab>, the nonzero spin-flip sqrt-spectrum of
 # rho = psi psi^H is the set of singular values of the complex symmetric
-# a = psi^T (Y x Y) psi (Takagi route), and C_a is their sum (Laustsen-
-# Verstraete-van Enk); a qudit takes an SVD, on d <= 4 (see _measure_triples).
+# a = psi^T (Y x Y) psi (Takagi route), and C_a is their sum S (Laustsen-
+# Verstraete-van Enk); a qudit has d <= 4 (see _measure_triples).  On a
+# 3 x 3 a, with F = ||a||_F^2, E the sum of its squared 2x2 minors (Cauchy-
+# Binet: sum s_i^2 s_j^2 over i < j) and D = |det a|, S^2 = F + 2 e2 and
+# e2^2 = E + 2 D S give (S^2 - F)^2 = 4 E + 8 D S.  That quartic is convex
+# on [sqrt F, inf) and <= 0 at sqrt F, so Newton from sqrt(3 F) >= S falls
+# to S; D = 0 gives S = sqrt(F + 2 sqrt E) exactly.  D's rounding, about u
+# F^(3/2), moves S by about that over S e2 - D, so a block near rank 1,
+# where S e2 - D < 2^-6 F^(3/2), or one that Newton leaves open at its cap,
+# takes the SVD, as does d = 4.
 # On three qubits a is 2 x 2, and the QR of its larger column, as in LAPACK's
 # dlas2 (Demmel-Kahan 1990), gives the triangle [[f, g], [0, h]]: f = the
 # larger column norm, g = |col1^H col2| / f, h = |det a| / f.  a is symmetric,
@@ -136,6 +145,30 @@ def entanglement_cost_lookup(name: str) -> MeasureTriple:
 # minor form runs at the points that do: the argmax passes over them pick
 # the starts and values of the full grid.  The margin and the gain
 # tolerance scale with nu, so a row's search is the same at any scale.
+#
+# The first start's end n*, with value V, is C_a within a width that a line
+# certifies (Gour-Meyer-Sanders 2005).  The rank-one POVMs of the qubit
+# assistant are the probability measures on the sphere with mean 0, and C_a
+# is the largest mean of f(n) = 4 sqrt Q(n) under them, so if a + g.n >= f
+# - w on the sphere, C_a <= a + w.  Take a = V and the line l that touches
+# f at n* and -n*: g.n* = (f(n*) - f(-n*)) / 2, and g's tangent part the mean
+# of those of grad f = 4 (A m + b) / sqrt Q(m) at m = n* and -n*.  On the
+# sphere l^2 - 16 Q is the form at (1, n) of P = [[a^2 - 16 c - lam, w^T],
+# [w, g g^T - 16 A + lam I]], w = a g - 16 b, for any lam, and lam = a^2 -
+# 16 c + w.n* makes (1, n*) null (the S-lemma; Polik-Terlaky 2007).  In the
+# basis (1, 0), (0, n*), (0, u), (0, v), with the step's frame u, v, P has
+# blocks K on the first two, T on the last two and C between them, and K =
+# C = 0 at an exact stationary point.  If T >= tau I, tau > 0, then P >=
+# -delta I with delta = |K| + |C|^2 / tau, so l^2 >= f^2 - 2 delta on the
+# sphere, where |(1, n)|^2 = 2; where a > |g|, l >= a - |g| > 0 and f - l <=
+# 2 delta / (a - |g|).  Rounding: c, A and b are within 2 u nu^2 of det M's
+# coefficients (sums of a few products of sums whose moduli add to at most
+# nu^2 / 4), and each block entry sums a few products of terms of modulus at
+# most 8 nu^2 (V <= nu, as 2 sqrt Q(n) <= Tr M(n)), so it is within 2^9 u
+# nu^2 of its value on the exact form.  Four times that, eta = 2^11 u nu^2,
+# bounds the norm of the 4 x 4 error, so |K| and |C| take + eta and tau takes
+# - eta.  A state whose width is at most _BRACKET nu keeps its first start;
+# the others refine all _STARTS and take the best.
 
 
 def _norm2(t) -> np.ndarray:
@@ -159,12 +192,45 @@ def _cut_concurrence(m) -> np.ndarray:
     return 2.0 * np.sqrt(acc)
 
 
+def _spinflip_matrix(psi) -> np.ndarray:
+    """The complex symmetric a = psi^T (Y x Y) psi of (..., 4, d) blocks with rows |ab>."""
+    r00, r01, r10, r11 = (psi[..., k, :, None] for k in range(4))
+    c00, c01, c10, c11 = (psi[..., k, None, :] for k in range(4))
+    return r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00
+
+
 def _spinflip_values(psi) -> np.ndarray:
     """Descending singular values of psi^T (Y x Y) psi for (..., 4, d) blocks with rows |ab>:
     the nonzero sqrt-eigenvalues of rho * rho_tilde for the two-qubit rho = psi psi^H."""
-    r00, r01, r10, r11 = (psi[..., k, :, None] for k in range(4))
-    c00, c01, c10, c11 = (psi[..., k, None, :] for k in range(4))
-    return np.linalg.svd(r01 * c10 + r10 * c01 - r00 * c11 - r11 * c00, compute_uv=False)
+    return np.linalg.svd(_spinflip_matrix(psi), compute_uv=False)
+
+
+_QUARTIC_STEPS = 16  # at most; on Haar blocks Newton stops within 11
+_QUARTIC_COND = 2.0 ** -6  # below this (S e2 - D) / F^(3/2) a block takes the SVD (see above)
+
+
+def _trace_norm(psi) -> np.ndarray:
+    """The sum of the singular values of the spin-flip a of (N, 4, d) blocks (see above)."""
+    if psi.shape[2] != 3:
+        return _spinflip_values(psi).sum(axis=1)
+    a = _spinflip_matrix(psi)
+    r, c = [1, 2, 0], [2, 0, 1]
+    minors = a[:, r][:, :, r] * a[:, c][:, :, c] - a[:, r][:, :, c] * a[:, c][:, :, r]  # cofactors
+    f, e, d = _norm2(a), _norm2(minors), np.abs((a[:, 0] * minors[:, 0]).sum(axis=1))
+    fs = np.where(f > 0.0, f, 1.0)  # F, or a stand-in on a zero block
+    s, done = np.sqrt(3.0 * fs), d == 0.0
+    for _ in range(_QUARTIC_STEPS):  # each row stops on its own
+        g = s * s - fs
+        step = (g * g - 4.0 * e - 8.0 * d * s) / (4.0 * s * g - 8.0 * d)
+        s = np.where(done, s, s - step)
+        done |= step <= 4.0 * _EPS * s
+        if done.all():
+            break
+    redo = ~done | (0.5 * s * (s * s - fs) - d < _QUARTIC_COND * fs * np.sqrt(fs)) & (d > 0.0)
+    s = np.where(d == 0.0, np.sqrt(f + 2.0 * np.sqrt(e)), s)
+    if redo.any():
+        s[redo] = _spinflip_values(psi[redo]).sum(axis=1)
+    return s
 
 
 def _qubit_pair(psi):
@@ -219,7 +285,9 @@ _GRID_KETS = _ket_monomials(_GRID)
 _GRID_MONOMIALS = np.vstack([np.ones(128), np.tile((_GRID[:, None] * _GRID).reshape(9, 64), 2),
                              2.0 * np.hstack([_GRID, -_GRID])])
 _SCREEN_MARGIN = 2.0 ** -18  # 2e per unit ||psi||^2: twice the screen's error bound (see above)
-_STARTS = 3          # best grid points refined per state
+_STARTS = 3          # best grid points refined on a state the dual bound leaves open
+_BRACKET = 2.0 ** -36  # per unit ||psi||^2: a narrower dual bracket certifies the first start
+_DUAL_ROUNDING = 2.0 ** -42  # eta per unit ||psi||^4: 2^11 u, the bound's rounding (see above)
 _NEWTON_STEPS = 8    # at most; on Haar states a search converges in 4 to 6
 _RADIUS = 0.3        # first trust radius, about the grid spacing
 _GAIN_TOL = 1e-15    # per unit ||psi||^2: a step that promises less ends a search
@@ -271,13 +339,9 @@ def _average_concurrence(t, kets):
     return 2.0 * total
 
 
-def _ascent_step(n, c, quad, lin, radius):
-    """Riemannian Newton step for the objective at unit n, no longer than radius.
-
-    n has shape (3, N, S); quad, lin and c broadcast against it.  Returns
-    the step, its length, and its first-order gain g.s, which for a Newton
-    step is twice the gain the quadratic model predicts.
-    """
+def _tangent_forms(n, c, quad, lin):
+    """At unit n (3, N, S), with c, quad and lin broadcast against it: the tangent frame u, v,
+    (n.An, u.An, v.An), (u.Au, u.Av, v.Av), (b.n, b.u, b.v) and (sqrt Q(n), sqrt Q(-n))."""
     x, y, z = n
     polar = np.abs(z) > 0.9  # tangent basis u, v = n x u
     zero = np.zeros_like(z)
@@ -285,16 +349,26 @@ def _ascent_step(n, c, quad, lin, radius):
     u = u / np.sqrt(_sum3(u * u))
     v = n[[1, 2, 0]] * u[[2, 0, 1]] - n[[2, 0, 1]] * u[[1, 2, 0]]
     frame = np.stack([n, u, v])
-    af = _sum3(quad * frame[:, None])            # A n, A u, A v
-    an = _sum3(frame * af[0])                    # n . A n, u . A n, v . A n
-    ll = _sum3(lin * frame)                      # b . n, b . u, b . v
-    root = np.sqrt(c + an[0] + _SIGNS * 2.0 * ll[0])  # sqrt Q(n), sqrt Q(-n)
+    af = _sum3(quad * frame[:, None])             # A n, A u, A v
+    an = _sum3(frame * af[0])                     # n . A n, u . A n, v . A n
+    tt = _sum3(frame[[1, 1, 2]] * af[[1, 2, 2]])  # u . A u, u . A v, v . A v
+    ll = _sum3(lin * frame)                       # b . n, b . u, b . v
+    return u, v, an, tt, ll, np.sqrt(c + an[0] + _SIGNS * 2.0 * ll[0])
+
+
+def _ascent_step(n, c, quad, lin, radius):
+    """Riemannian Newton step for the objective at unit n, no longer than radius.
+
+    n has shape (3, N, S); quad, lin and c broadcast against it.  Returns
+    the step, its length, and its first-order gain g.s, which for a Newton
+    step is twice the gain the quadratic model predicts.
+    """
+    u, v, an, tt, ll, root = _tangent_forms(n, c, quad, lin)  # root: sqrt Q(n), sqrt Q(-n)
     d = 2.0 * (an + _SIGNS[:, None] * ll)        # their derivatives along n, u, v
     g = d / root[:, None]
     g = g[0] + g[1]                              # gradient of 2 sqrt Q(n) + 2 sqrt Q(-n)
     i, j = [1, 1, 2], [1, 2, 2]                  # the Hessian entries uu, uv and vv
-    h = 2.0 * _sum3(frame[i] * af[j]) / root[:, None] - d[:, i] * d[:, j] * (
-        0.5 / (root * root * root))[:, None]
+    h = 2.0 * tt / root[:, None] - d[:, i] * d[:, j] * (0.5 / (root * root * root))[:, None]
     h = h[0] + h[1]
     g_u, g_v = g[1], g[2]
     h_uu, h_uv, h_vv = h[0] - g[0], h[1], h[2] - g[0]  # the sphere's curvature term
@@ -313,17 +387,35 @@ def _ascent_step(n, c, quad, lin, radius):
     return s_u * u + s_v * v, np.sqrt(s_u * s_u + s_v * s_v), g_u * s_u + g_v * s_v
 
 
-def _assistant_search(psi) -> np.ndarray:
-    """Largest average concurrence of A over projective measurements of the assistant.
+def _dual_bound(n, value, c, quad, lin, nu):
+    """g of the line value + g.m through a search's end n, and the width of its bracket on C_a.
 
-    psi has shape (N, 2, dP, 2), axes A, partner, assistant.  The objective
-    is evaluated on the hemisphere grid; the best _STARTS points take up to
-    _NEWTON_STEPS safeguarded ascent steps, each kept only if it raises the
-    objective, so the result is never below the grid maximum.  The searches
-    share one flat axis, and a search stops on its own criterion and then
-    leaves it, so the steps run on live searches only and a state's value
-    does not depend on the rest of the batch.
+    Shapes as in _ascent_step, value and nu like c.  C_a lies within the
+    width above value; the width is +inf or NaN where the check fails.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, v, an, tt, ll, root = _tangent_forms(n, c, quad, lin)
+        d = 2.0 * (an + _SIGNS[:, None] * ll)
+        gam = d[0] / root[0] - d[1] / root[1]  # g along n, u, v
+        gam[0] = 2.0 * (root[0] - root[1])
+        w = value * gam - 16.0 * ll
+        lam = value * value - 16.0 * c + w[0]
+        k = value * value - 16.0 * c - lam, w[0], gam[0] * gam[0] - 16.0 * an[0] + lam
+        cross = np.concatenate([w[1:], gam[0] * gam[1:] - 16.0 * an[1:]])
+        t = gam[[1, 1, 2]] * gam[[1, 2, 2]] - 16.0 * tt  # T without lam I
+        t_uu, t_uv, t_vv = t[0] + lam, t[1], t[2] + lam
+        eta = _DUAL_ROUNDING * nu * nu
+        tau = 0.5 * (t_uu + t_vv - np.sqrt((t_uu - t_vv) ** 2 + 4.0 * t_uv * t_uv)) - eta
+        norm_c = np.sqrt((cross * cross).sum(axis=0)) + eta
+        delta = np.sqrt(k[0] * k[0] + 2.0 * k[1] * k[1] + k[2] * k[2]) + eta + norm_c * norm_c / tau
+        slack = value - np.sqrt(_sum3(gam * gam))  # l >= a - |g| on the sphere
+        width = np.where((tau > 0.0) & (slack > 0.0), 2.0 * delta / slack, np.inf)
+    return gam[0] * n + gam[1] * u + gam[2] * v, width
+
+
+def _grid_starts(psi):
+    """The forms (c, A, b, minor form, ||psi||^2) of psi (N, 2, dP, 2), and the grid
+    indices and values of each state's best _STARTS grid points, each (_STARTS, N)."""
     c0, quad0, lin0 = _det_form(psi)
     t0 = _minor_form(psi)
     nu = _norm2(psi)
@@ -344,16 +436,26 @@ def _assistant_search(psi) -> np.ndarray:
         top.append(k := grid.argmax(axis=1))
         best.append(grid[rows, k])
         grid[rows, k] = -np.inf
-    del q, grid  # not held through the steps
-    # one flat axis of searches, state * _STARTS + start
-    n, best = _GRID[:, np.stack(top, axis=1).ravel(), None], np.stack(best, axis=1).reshape(-1, 1)
+    return (c0, quad0, lin0, t0, nu), np.array(top), np.array(best)
+
+
+def _refine(n, best, rows, forms):
+    """Searches from unit n (3, S) with values best (S,) on states rows (S,) of forms.
+
+    Each takes up to _NEWTON_STEPS safeguarded ascent steps, each kept only
+    if it raises the objective.  The searches share one flat axis, and a
+    search stops on its own criterion and then leaves it, so the steps run
+    on live searches only.  Returns the ends (3, S, 1) and values (S, 1).
+    """
+    c0, quad0, lin0, t0, nu = forms
+    n, best = n[..., None], best[:, None]
     radius = np.full(best.shape, _RADIUS)
-    found, live, own = np.empty(len(best)), np.arange(len(best)), None
+    end, found, live, own = np.empty(n.shape), np.empty(best.shape), np.arange(len(best)), None
     # outcomes with Q = 0 give infinite derivatives; such steps are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
             if own is None:  # the live set changed: take its searches' forms
-                own = live // _STARTS
+                own = rows[live]
                 # np.take gathers in C order; an index would put the searches outermost
                 c, t = c0[own, None], [x.take(own, 1) for x in t0]
                 quad, lin = quad0.take(own, -1)[..., None], lin0.take(own, -1)[..., None]
@@ -366,14 +468,38 @@ def _assistant_search(psi) -> np.ndarray:
             n = np.where(up, trial, n)
             best = np.where(up, value, best)
             radius = np.where(up, 2.0 * radius, 0.25 * length)
-            found[live] = best.ravel()
             going = (gain > tol).ravel()
             if not going.all():  # the searches that stop here are final: drop them
-                if not going.any():
-                    break
+                stop = ~going
+                end[:, live[stop]], found[live[stop]] = n[:, stop], best[stop]
                 live, own = live[going], None
                 n, best, radius = n[:, going], best[going], radius[going]
-    return found.reshape(-1, _STARTS).max(axis=1)
+                if not len(live):
+                    break
+    end[:, live], found[live] = n, best
+    return end, found
+
+
+def _assistant_search(psi) -> np.ndarray:
+    """Largest average concurrence of A over projective measurements of the assistant.
+
+    psi has shape (N, 2, dP, 2), axes A, partner, assistant.  Each state's
+    best grid point is refined, and where the dual bound at its end is
+    wider than _BRACKET ||psi||^2, so are its next _STARTS - 1 points.  The
+    value is the best end, never below the grid maximum, and every step is
+    per search, so a state's value does not depend on the rest of the batch.
+    """
+    forms, top, best = _grid_starts(psi)
+    c0, quad0, lin0, _, nu = forms
+    n, value = _refine(_GRID[:, top[0]], best[0], np.arange(len(psi)), forms)
+    _, width = _dual_bound(n, value, c0[:, None], quad0[..., None], lin0[..., None], nu[:, None])
+    value = value[:, 0]
+    rows = np.flatnonzero(~(width[:, 0] <= _BRACKET * nu))  # the rows the bound leaves open
+    if len(rows):
+        _, more = _refine(_GRID[:, top[1:, rows].T.ravel()], best[1:, rows].T.ravel(),
+                          np.repeat(rows, _STARTS - 1), forms)
+        value[rows] = np.maximum(value[rows], more.reshape(len(rows), -1).max(axis=1))
+    return value
 
 
 def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
@@ -381,8 +507,9 @@ def assisted_concurrence(state: PureTripartiteState, partner: str) -> float:
 
     A qubit partner takes a closed form (Laustsen, Verstraete and van Enk 2003):
     sqrt(C^2 + tau) on three qubits, the sum of the spin-flip values with a qudit
-    assistant.  A qudit partner with a qubit assistant is searched: a lower
-    bound, at most the A|BC cut.
+    assistant.  A qudit partner with a qubit assistant is searched: C_a within
+    2^-36 of it where the dual bound certifies the value, else a lower bound;
+    at most the A|BC cut either way.
     """
     partner = partner.upper()
     if partner not in ("B", "C"):
@@ -453,6 +580,6 @@ def _measure_triples(dims, amps, mid: MeasureId) -> np.ndarray:
     triples = np.empty((n, 3))
     triples[:, 0] = _cut_concurrence(t.reshape(n, 2, -1))
     for k, psi in ((1, t), (2, t.swapaxes(2, 3))):  # axes A, partner, the third party
-        triples[:, k] = (_spinflip_values(psi.reshape(n, 4, -1)).sum(axis=1) if dims[k] == 2
+        triples[:, k] = (_trace_norm(psi.reshape(n, 4, -1)) if dims[k] == 2
                          else _assistant_search(psi))  # a qubit assistant (_check_triple)
     return triples / nu[:, None]

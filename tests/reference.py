@@ -124,26 +124,11 @@ def full_gram_ascent_step(n, c, quad, lin, radius):
 _GRID_BLOCK = 64  # states per grid evaluation, which bounds its temporaries
 
 
-def dense_assistant_search(psi) -> np.ndarray:
-    """measures._assistant_search with every search kept through every step.
+def _dense_steps(n, best, c, quad, lin, t, tol):
+    """The (N, S) searches from n (3, N, S) stepped together until none is active.
 
-    The independent reference for the package's search.  It evaluates the
-    minor form at every grid point, in blocks of _GRID_BLOCK states, where
-    the package evaluates it only where its det-form screen leaves a point's
-    rank open, and it steps with full_gram_ascent_step.  The (N, _STARTS)
-    searches step together until none is active; one that has stopped is
-    carried along, masked out of each update.  The starts come from a
-    stable argsort of the grid.
+    A search that has stopped is carried along, masked out of each update.
     """
-    c, quad, lin = m._det_form(psi)
-    t = m._minor_form(psi)
-    tol = m._GAIN_TOL * m._norm2(psi)[:, None]
-    kets = m._ket_monomials(m._GRID)
-    grid = np.concatenate([m._average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t], kets)
-                           for k in range(0, len(psi), _GRID_BLOCK)])
-    top = np.argsort(-grid, axis=1, kind="stable")[:, :m._STARTS]
-    n, best = m._GRID[:, top], np.take_along_axis(grid, top, axis=1)
-    c, quad, lin = c[:, None], quad[..., None], lin[..., None]
     radius = np.full(best.shape, m._RADIUS)
     active = np.ones(best.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -159,7 +144,42 @@ def dense_assistant_search(psi) -> np.ndarray:
             active &= gain > tol
             if not active.any():
                 break
-    return best.max(axis=1)
+    return n, best
+
+
+def dense_assistant_search(psi) -> np.ndarray:
+    """measures._assistant_search with every search kept through every step.
+
+    The independent reference for the package's search.  It evaluates the
+    minor form at every grid point, in blocks of _GRID_BLOCK states, where
+    the package evaluates it only where its det-form screen leaves a point's
+    rank open, and it steps with full_gram_ascent_step, every search of a
+    stage together.  The starts come from a stable argsort of the grid.
+    Every state steps its best start; the states whose dual bound
+    (measures._dual_bound) is wider than _BRACKET ||psi||^2 step their
+    other starts too.
+    """
+    c, quad, lin = m._det_form(psi)
+    t = m._minor_form(psi)
+    nu = m._norm2(psi)
+    tol = m._GAIN_TOL * nu[:, None]
+    kets = m._ket_monomials(m._GRID)
+    grid = np.concatenate([m._average_concurrence([x[:, k:k + _GRID_BLOCK] for x in t], kets)
+                           for k in range(0, len(psi), _GRID_BLOCK)])
+    top = np.argsort(-grid, axis=1, kind="stable")[:, :m._STARTS]
+    c, quad, lin = c[:, None], quad[..., None], lin[..., None]
+    n, best = _dense_steps(m._GRID[:, top[:, :1]], np.take_along_axis(grid, top[:, :1], axis=1),
+                           c, quad, lin, t, tol)
+    _, width = m._dual_bound(n, best, c, quad, lin, nu[:, None])
+    value = best[:, 0]
+    open_ = ~(width[:, 0] <= m._BRACKET * nu)
+    if open_.any():
+        rest = top[open_, 1:]
+        _, more = _dense_steps(m._GRID[:, rest], np.take_along_axis(grid[open_], rest, axis=1),
+                               c[open_], quad[..., open_, :], lin[..., open_, :],
+                               [x[:, open_] for x in t], tol[open_])
+        value[open_] = np.maximum(value[open_], more.max(axis=1))
+    return value
 
 
 def spinflip_kernel(amps) -> np.ndarray:

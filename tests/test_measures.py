@@ -715,3 +715,127 @@ class TestAssistedSearch:
             assisted_concurrence(haar_random((3, 2, 2), 0), "B")
         state = haar_random((2, 2, 3), 0)
         assert assisted_concurrence(state, "B") == measure_triple(state, mid).e_ab
+
+
+# --- the dual bound that certifies a search's first start -------------------
+
+
+def _first_start(dims, seed):
+    """(psi, forms, the first start's end n* and value V, the three-start value) of 4096 Haar
+    rows, psi with axes A, partner, qubit assistant."""
+    t = family_rows(dims, "haar", stream_words(seed, 0, 4096)).reshape((-1,) + dims)
+    psi = t.swapaxes(2, 3) if dims[1] == 2 else t
+    forms, top, best = measures._grid_starts(psi)
+    n, value = measures._refine(measures._GRID[:, top[0]], best[0], np.arange(len(psi)), forms)
+    _, every = measures._refine(measures._GRID[:, top.T.ravel()], best.T.ravel(),
+                                np.repeat(np.arange(len(psi)), measures._STARTS), forms)
+    return psi, forms, n, value, every.reshape(len(psi), -1).max(axis=1)
+
+
+def _bound(forms, n, value):
+    c, quad, lin, _, nu = forms
+    return measures._dual_bound(n, value, c[:, None], quad[..., None], lin[..., None], nu[:, None])
+
+
+class TestDualBound:
+    """The S-lemma line through the first start's end: C_a <= V + width on certified rows."""
+
+    DIMS = [(2, 2, 3), (2, 3, 2), (2, 2, 4)]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_most_rows_are_certified(self, dims):
+        # a check that never passes would leave every row to three starts
+        _, forms, n, value, every = _first_start(dims, 71)
+        _, width = _bound(forms, n, value)
+        nu = forms[-1]
+        certified = width[:, 0] <= measures._BRACKET * nu
+        assert certified.mean() >= 0.99
+        # no start finds more than the bound allows
+        assert np.all(every[certified] <= value[certified, 0] + width[certified, 0])
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_line_bounds_f_on_the_sphere(self, dims):
+        # f(n) = 4 sqrt(det M(n)) from the minor form, against l(n) = V + g.n
+        psi, forms, n, value, _ = _first_start(dims, 72)
+        g, width = _bound(forms, n, value)
+        nu = forms[-1]
+        rows = np.flatnonzero(width[:, 0] <= measures._BRACKET * nu)[:128]
+        i = np.arange(20_000)
+        z = 1.0 - 2.0 * (i + 0.5) / 20_000
+        r, phi = np.sqrt(1.0 - z * z), i * math.pi * (3.0 - math.sqrt(5.0))
+        sphere = np.stack([r * np.cos(phi), r * np.sin(phi), z])
+        t = [x[:, rows, 0][..., None] for x in forms[3]]
+        worst = np.full(len(rows), -np.inf)
+        for k in range(0, 20_000, 2_000):
+            dirs = sphere[:, k:k + 2_000]
+            up = np.where(dirs[2] >= 0, dirs, -dirs)  # the first kets are those of up, then -up
+            for sign, kets in zip((1.0, -1.0), measures._ket_monomials(dirs)):
+                w = t[0] * kets[0] + t[1] * kets[1] + t[2] * kets[2]
+                f = 4.0 * np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=0))
+                line = value[rows] + sign * (g[:, rows, 0].T @ up)
+                worst = np.maximum(worst, (f - line).max(axis=1))
+        assert np.all(worst <= width[rows, 0] + 64 * EPS / 2 * nu[rows])
+
+    def test_moved_end_is_not_certified(self):
+        # 1e-3 along the frame's u from n*, the line no longer touches f
+        _, forms, n, value, _ = _first_start((2, 2, 3), 73)
+        n, value = n[:, :256], value[:256]
+        c, quad, lin, t, nu = forms
+        c, quad, lin, nu = c[:256], quad[..., :256], lin[..., :256], nu[:256]
+        forms = (c, quad, lin, [x[:, :256] for x in t], nu)
+        assert np.all(_bound(forms, n, value)[1][:, 0] <= measures._BRACKET * nu)
+        u = measures._tangent_forms(n, c[:, None], quad[..., None], lin[..., None])[0]
+        moved = n + 1e-3 * u
+        moved /= np.sqrt((moved * moved).sum(axis=0))
+        moved_value = measures._average_concurrence(forms[3], measures._ket_monomials(moved))
+        assert not np.any(_bound(forms, moved, moved_value)[1][:, 0] <= measures._BRACKET * nu)
+
+
+# --- the quartic trace norm of a qutrit assistant's pair --------------------
+
+
+def _blocks_with_values(sigma, count, seed):
+    """(count, 4, 3) blocks psi whose spin-flip a = psi^T (Y x Y) psi has singular values sigma.
+
+    With M^T (Y x Y) M = 1 (a magic basis) and psi = M[:, :3] x, a = x^T x;
+    x = diag(sqrt sigma) U^T with U unitary gives a = U diag(sigma) U^T.
+    """
+    w, v = np.linalg.eigh(_YY.real)
+    magic = v * np.where(w > 0, 1.0, 1j)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3)))
+    return magic[:, :3] @ (np.sqrt(np.asarray(sigma, dtype=float))[:, None] * u.swapaxes(1, 2))
+
+
+class TestTraceNorm:
+    """The qutrit-assistant pair's sigma1 + sigma2 + sigma3 from (S^2 - F)^2 = 4E + 8DS."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2)])
+    def test_haar_rows_match_the_svd(self, dims):
+        for seed in range(5):
+            t = family_rows(dims, "haar", stream_words(seed, 0, 4096)).reshape((-1,) + dims)
+            psi = (t if dims[2] == 3 else t.swapaxes(2, 3)).reshape(-1, 4, 3)
+            svd = _spinflip_values(psi).sum(axis=1)
+            assert np.all(np.abs(measures._trace_norm(psi) / svd - 1) <= 8 * EPS)
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1e-8, 1e-8), (1.0, 1e-3, 1e-3), (1.0, 1.0, 1e-8),
+                                       (1.0, 0.3, 1e-8), (2.0, 1.0, 0.5)])
+    def test_near_singular_blocks_match_the_svd(self, sigma):
+        # near rank 1 the rounding of det a moves the quartic's root, so those
+        # blocks take the SVD; near rank 2 Newton converges as usual
+        psi = _blocks_with_values(sigma, 512, 3)
+        svd = _spinflip_values(psi).sum(axis=1)
+        assert np.all(np.abs(measures._trace_norm(psi) / svd - 1) <= 8 * EPS)
+
+    def test_exact_blocks(self):
+        # rank 1 (a Bell pair on AB, C in a product), rank 2 (e223, an
+        # embedded GHZ) and zero blocks take S = sqrt(F + 2 sqrt E) exactly
+        bell = np.zeros((2, 2, 3), dtype=complex)
+        bell[0, 0, 0] = bell[1, 1, 0] = 0.6 * S2
+        bell[0, 0, 2] = bell[1, 1, 2] = 0.8j * S2
+        ghz3 = np.zeros((2, 2, 3), dtype=complex)
+        ghz3[0, 0, 0] = ghz3[1, 1, 1] = S2
+        blocks = np.stack([bell, example_223().tensor, ghz3, np.zeros((2, 2, 3))]).reshape(4, 4, 3)
+        assert np.allclose(measures._trace_norm(blocks), [1.0, 1.0, 1.0, 0.0], rtol=0, atol=2 * EPS)
+        assert measures._trace_norm(blocks)[3] == 0.0
+        assert measure_triple(example_223(), MeasureId.CONCURRENCE_OF_ASSISTANCE).e_ab == 1.0
