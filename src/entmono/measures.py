@@ -388,13 +388,13 @@ def _ascent_step(n, c, quad, lin, radius):
 
 
 def _dual_bound(n, value, c, quad, lin, nu):
-    """g of the line value + g.m through a search's end n, and the width of its bracket on C_a.
+    """The width of the bracket on C_a that the line through a search's end n certifies.
 
     Shapes as in _ascent_step, value and nu like c.  C_a lies within the
     width above value; the width is +inf or NaN where the check fails.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, v, an, tt, ll, root = _tangent_forms(n, c, quad, lin)
+        _, _, an, tt, ll, root = _tangent_forms(n, c, quad, lin)
         d = 2.0 * (an + _SIGNS[:, None] * ll)
         gam = d[0] / root[0] - d[1] / root[1]  # g along n, u, v
         gam[0] = 2.0 * (root[0] - root[1])
@@ -409,8 +409,7 @@ def _dual_bound(n, value, c, quad, lin, nu):
         norm_c = np.sqrt((cross * cross).sum(axis=0)) + eta
         delta = np.sqrt(k[0] * k[0] + 2.0 * k[1] * k[1] + k[2] * k[2]) + eta + norm_c * norm_c / tau
         slack = value - np.sqrt(_sum3(gam * gam))  # l >= a - |g| on the sphere
-        width = np.where((tau > 0.0) & (slack > 0.0), 2.0 * delta / slack, np.inf)
-    return gam[0] * n + gam[1] * u + gam[2] * v, width
+        return np.where((tau > 0.0) & (slack > 0.0), 2.0 * delta / slack, np.inf)
 
 
 def _grid_starts(psi):
@@ -492,7 +491,7 @@ def _assistant_search(psi) -> np.ndarray:
     forms, top, best = _grid_starts(psi)
     c0, quad0, lin0, _, nu = forms
     n, value = _refine(_GRID[:, top[0]], best[0], np.arange(len(psi)), forms)
-    _, width = _dual_bound(n, value, c0[:, None], quad0[..., None], lin0[..., None], nu[:, None])
+    width = _dual_bound(n, value, c0[:, None], quad0[..., None], lin0[..., None], nu[:, None])
     value = value[:, 0]
     rows = np.flatnonzero(~(width[:, 0] <= _BRACKET * nu))  # the rows the bound leaves open
     if len(rows):

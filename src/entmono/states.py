@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ MAX_TOTAL_DIM = 4096
 # silently rescaled; closer ones are renormalized (decimal truncation in
 # hand-written files is common).
 NORM_REJECT_TOL = 1e-6
-# Renormalizations larger than this are flagged on the state.
-NORM_WARN_TOL = 1e-9
 
 
 class StateError(ValueError):
@@ -37,21 +35,13 @@ class PureTripartiteState:
     ----------
     dims : (dA, dB, dC)
     amps : complex vector of length dA*dB*dC, unit norm
-    renorm_warning : True if construction had to rescale the input by more
-        than ``NORM_WARN_TOL``.
     """
 
     dims: tuple[int, int, int]
     amps: np.ndarray
-    renorm_warning: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.amps.setflags(write=False)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to (dA, dB, dC)."""
-        return self.amps.reshape(self.dims)
 
 
 @dataclass(frozen=True)
@@ -99,8 +89,7 @@ def pure_state_new(dims, amplitudes) -> PureTripartiteState:
     """Build a state from raw amplitudes, renormalizing small deviations.
 
     Rejects non-finite amplitudes and vectors whose norm is outside
-    [1 - 1e-6, 1 + 1e-6] (all-zero included); flags the state when the
-    rescaling exceeded 1e-9.
+    [1 - 1e-6, 1 + 1e-6] (all-zero included).
     """
     dims = _check_dims(dims)
     amps = np.asarray(amplitudes, dtype=complex).ravel().copy()
@@ -114,7 +103,7 @@ def pure_state_new(dims, amplitudes) -> PureTripartiteState:
         raise StateError("all-zero amplitude vector")
     if abs(norm - 1.0) > NORM_REJECT_TOL:
         raise StateError(f"norm {norm} deviates from 1 by more than {NORM_REJECT_TOL}")
-    return PureTripartiteState(dims, amps / norm, abs(norm - 1.0) > NORM_WARN_TOL)
+    return PureTripartiteState(dims, amps / norm)
 
 
 def unit_rows(v) -> np.ndarray:
@@ -601,7 +590,7 @@ def reduced_density(state: PureTripartiteState, keep) -> np.ndarray:
     if not labels or len(set(labels)) != len(labels) or any(k not in _AXIS for k in labels):
         raise StateError(f"keep must name distinct subsystems among A,B,C, got {keep!r}")
     keep_axes = sorted(_AXIS[k] for k in labels)
-    m = np.moveaxis(state.tensor, keep_axes, range(len(keep_axes)))
+    m = np.moveaxis(state.amps.reshape(state.dims), keep_axes, range(len(keep_axes)))
     m = m.reshape(math.prod(state.dims[ax] for ax in keep_axes), -1)
     rho = m @ m.conj().T
     return (rho + rho.conj().T) / 2.0

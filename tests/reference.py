@@ -170,7 +170,7 @@ def dense_assistant_search(psi) -> np.ndarray:
     c, quad, lin = c[:, None], quad[..., None], lin[..., None]
     n, best = _dense_steps(m._GRID[:, top[:, :1]], np.take_along_axis(grid, top[:, :1], axis=1),
                            c, quad, lin, t, tol)
-    _, width = m._dual_bound(n, best, c, quad, lin, nu[:, None])
+    width = m._dual_bound(n, best, c, quad, lin, nu[:, None])
     value = best[:, 0]
     open_ = ~(width[:, 0] <= m._BRACKET * nu)
     if open_.any():

@@ -354,6 +354,19 @@ class TestRejectedInputs:
         assert err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--example", "w"], ["sweep", "--dims", "2,2,2", "--samples", "10"],
+    ], ids=["analyze", "sweep"])
+    def test_x_not_finite_at_tiny_y(self, tmp_path, capsys, command):
+        # the rows are classified before the error: the sweep still removes its --out
+        out = tmp_path / "new_dir"
+        extra = ["--out", str(out)] if command[0] == "sweep" else []
+        code, stdout, err = run_cli(command + ["--measure", "c", "--y", "1e-320"] + extra, capsys)
+        assert code == 1
+        assert err == "error: x is not finite at y=1e-320\n"
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels", [("a", "b", "c"), ("a", "..", "b", "c")],
                              ids=["chain", "dotdot"])
     def test_rejected_sweep_leaves_no_nested_out(self, tmp_path, capsys, levels):

@@ -289,7 +289,7 @@ class TestConvexRoofUpperBound:
         rng = np.random.default_rng(123)
         for trial in range(500):
             state = haar_random((2, 2, 2), 100000 + trial)
-            psi = state.tensor.reshape(4, 2)  # columns are subnormalized members
+            psi = state.amps.reshape(4, 2)  # columns are subnormalized members
             closed = wootters_concurrence(reduced_density(state, "AB"))
             best = math.inf
             for _ in range(5):
@@ -349,7 +349,7 @@ def reference_triples(state):
     cuts by more than the tolerance.
     """
     rho_a, rho_ab, rho_ac = (reduced_density(state, k) for k in ("A", "AB", "AC"))
-    s1, s2 = np.linalg.svd(state.tensor.reshape(2, 4), compute_uv=False)
+    s1, s2 = np.linalg.svd(state.amps.reshape(2, 4), compute_uv=False)
     cut = 2.0 * s1 * s2
     return {
         MeasureId.CONCURRENCE: (cut, wootters_concurrence(rho_ab), wootters_concurrence(rho_ac)),
@@ -527,7 +527,7 @@ def nelder_mead_assistance(state, partner):
     128-point sphere grid, refined by scipy's Nelder-Mead (test reference)."""
     from scipy.optimize import minimize
 
-    t = state.tensor
+    t = state.amps.reshape(state.dims)
     psi = t if partner == "B" else np.transpose(t, (0, 2, 1))  # axes A, partner, assistant
     kets = _fibonacci_bloch(128)
     vals = _projective_avg_concurrence(psi, kets)
@@ -579,7 +579,7 @@ class TestAssistedSearch:
         for i in range(20):
             state = haar_random(narrow, 80_000 + i)
             embed = _local_unitary(rng, wide[k])[:, :3]
-            amps = np.moveaxis(np.tensordot(state.tensor, embed, axes=([k], [1])), -1, k)
+            amps = np.moveaxis(np.tensordot(state.amps.reshape(narrow), embed, axes=([k], [1])), -1, k)
             got = measure_triple(pure_state_new(wide, amps.ravel()), mid).as_tuple()
             want = measure_triple(state, mid).as_tuple()
             for j in (0, 3 - k):  # the cut and the qubit partner's closed form
@@ -620,6 +620,16 @@ class TestAssistedSearch:
         amps[0 * 6 + 0 * 3 + 0] = amps[1 * 6 + 0 * 3 + 1] = S2
         assert assisted_concurrence(pure_state_new((2, 2, 3), amps), "C") == pytest.approx(1.0, abs=1e-15)
 
+    def test_sparse_state_warns_nothing(self):
+        # A|C has C_a = 0, so Q(n*) = Q(-n*) = 0 at the search's end and the dual
+        # bound's line is not finite; that stays inside its errstate block
+        amps = np.zeros(12, dtype=complex)
+        amps[[1, 4, 7]] = [0.22462418665779763 + 0.651759901857064j,
+                           -0.0016113389781837349 - 0.15843844168101542j,
+                           0.38494249825801524 - 0.5928464741557127j]
+        t = measure_triple(pure_state_new((2, 2, 3), amps), MeasureId.CONCURRENCE_OF_ASSISTANCE)
+        assert t.as_tuple() == (0.22399841710761012, 0.22399841710761012, 0.0)
+
     @staticmethod
     def _searched(dims, amps):
         """The searched pair of (N, dA dB dC) rows: axes A, partner, qubit assistant."""
@@ -655,7 +665,7 @@ class TestAssistedSearch:
     def _tied_rows(dims):
         """Tied or flat (2,2,3) rows, embedded in dims (2,2,d) or (2,d,2), then Haar rows."""
         t = np.zeros((5, 2, 2, 3), dtype=complex)
-        t[0] = example_223().tensor
+        t[0] = example_223().amps.reshape(2, 2, 3)
         t[1, 0, 0, 0] = t[1, 1, 0, 1] = S2                  # Bell pair on A|C, B in |0>
         rng = np.random.default_rng(5)
         a, bc = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 6))
@@ -737,6 +747,14 @@ def _bound(forms, n, value):
     return measures._dual_bound(n, value, c[:, None], quad[..., None], lin[..., None], nu[:, None])
 
 
+def _line_slope(n, c, quad, lin):
+    """g of the line V + g.m that touches f = 4 sqrt Q at n and -n: g.n = (f(n) - f(-n)) / 2,
+    and g's tangent part the mean of those of grad f = 4 (A m + b) / sqrt Q(m) at m = n, -n."""
+    u, v, an, _, ll, root = measures._tangent_forms(n, c, quad, lin)
+    tangent = 2.0 * ((an[1:] + ll[1:]) / root[0] + (ll[1:] - an[1:]) / root[1])
+    return 2.0 * (root[0] - root[1]) * n + tangent[0] * u + tangent[1] * v
+
+
 class TestDualBound:
     """The S-lemma line through the first start's end: C_a <= V + width on certified rows."""
 
@@ -746,7 +764,7 @@ class TestDualBound:
     def test_most_rows_are_certified(self, dims):
         # a check that never passes would leave every row to three starts
         _, forms, n, value, every = _first_start(dims, 71)
-        _, width = _bound(forms, n, value)
+        width = _bound(forms, n, value)
         nu = forms[-1]
         certified = width[:, 0] <= measures._BRACKET * nu
         assert certified.mean() >= 0.99
@@ -757,9 +775,11 @@ class TestDualBound:
     def test_line_bounds_f_on_the_sphere(self, dims):
         # f(n) = 4 sqrt(det M(n)) from the minor form, against l(n) = V + g.n
         psi, forms, n, value, _ = _first_start(dims, 72)
-        g, width = _bound(forms, n, value)
+        width = _bound(forms, n, value)
         nu = forms[-1]
         rows = np.flatnonzero(width[:, 0] <= measures._BRACKET * nu)[:128]
+        c, quad, lin = forms[:3]
+        g = _line_slope(n[:, rows], c[rows, None], quad[..., rows, None], lin[..., rows, None])
         i = np.arange(20_000)
         z = 1.0 - 2.0 * (i + 0.5) / 20_000
         r, phi = np.sqrt(1.0 - z * z), i * math.pi * (3.0 - math.sqrt(5.0))
@@ -772,7 +792,7 @@ class TestDualBound:
             for sign, kets in zip((1.0, -1.0), measures._ket_monomials(dirs)):
                 w = t[0] * kets[0] + t[1] * kets[1] + t[2] * kets[2]
                 f = 4.0 * np.sqrt((w.real * w.real + w.imag * w.imag).sum(axis=0))
-                line = value[rows] + sign * (g[:, rows, 0].T @ up)
+                line = value[rows] + sign * (g[..., 0].T @ up)
                 worst = np.maximum(worst, (f - line).max(axis=1))
         assert np.all(worst <= width[rows, 0] + 64 * EPS / 2 * nu[rows])
 
@@ -783,12 +803,12 @@ class TestDualBound:
         c, quad, lin, t, nu = forms
         c, quad, lin, nu = c[:256], quad[..., :256], lin[..., :256], nu[:256]
         forms = (c, quad, lin, [x[:, :256] for x in t], nu)
-        assert np.all(_bound(forms, n, value)[1][:, 0] <= measures._BRACKET * nu)
+        assert np.all(_bound(forms, n, value)[:, 0] <= measures._BRACKET * nu)
         u = measures._tangent_forms(n, c[:, None], quad[..., None], lin[..., None])[0]
         moved = n + 1e-3 * u
         moved /= np.sqrt((moved * moved).sum(axis=0))
         moved_value = measures._average_concurrence(forms[3], measures._ket_monomials(moved))
-        assert not np.any(_bound(forms, moved, moved_value)[1][:, 0] <= measures._BRACKET * nu)
+        assert not np.any(_bound(forms, moved, moved_value)[:, 0] <= measures._BRACKET * nu)
 
 
 # --- the quartic trace norm of a qutrit assistant's pair --------------------
@@ -835,7 +855,8 @@ class TestTraceNorm:
         bell[0, 0, 2] = bell[1, 1, 2] = 0.8j * S2
         ghz3 = np.zeros((2, 2, 3), dtype=complex)
         ghz3[0, 0, 0] = ghz3[1, 1, 1] = S2
-        blocks = np.stack([bell, example_223().tensor, ghz3, np.zeros((2, 2, 3))]).reshape(4, 4, 3)
+        e223 = example_223().amps.reshape(2, 2, 3)
+        blocks = np.stack([bell, e223, ghz3, np.zeros((2, 2, 3))]).reshape(4, 4, 3)
         assert np.allclose(measures._trace_norm(blocks), [1.0, 1.0, 1.0, 0.0], rtol=0, atol=2 * EPS)
         assert measures._trace_norm(blocks)[3] == 0.0
         assert measure_triple(example_223(), MeasureId.CONCURRENCE_OF_ASSISTANCE).e_ab == 1.0

@@ -187,6 +187,14 @@ class TestTheorem3:
         a = certify(t).alpha
         assert residual(t, a) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=DomainError,
+                       reason="item 10: certify steps its exponent up by the raw residual, "
+                       "whose powers underflow on tiny triples")
+    def test_tiny_equal_pair_triple(self):
+        # cut^2 is subnormal: the raw residual stays negative for every step up from log_b 2
+        t = triple(8.239081424116161e-158, 5.825910345740655e-158, 5.825910345740655e-158)
+        assert scale_free_residual(*t.as_tuple(), certify(t).alpha) >= 0
+
 
 class TestTheorem3Relaxed:
     """log_c 2 on triples whose base ratio b is at least c (EC has b = log2 3)."""
@@ -336,6 +344,17 @@ class TestWitness:
 def test_monotonicity_violation_raises(decide):
     with pytest.raises(MonotonicityError, match="below larger pair value"):
         decide(triple(0.5, 0.9, 0.1))
+
+
+@pytest.mark.parametrize("decide", [
+    lambda y: solve_x(triple(1.0, 0.5, 0.5), y),
+    lambda y: beta_curves(triple(1.0, 0.5, 0.5), [y]),
+    lambda y: sweep((2, 2, 2), MeasureId.CONCURRENCE, y, 10, 0),
+], ids=["solve_x", "beta_curves", "sweep"])
+def test_x_not_finite_at_tiny_y(decide):
+    # a Finite x = (min/cut)^y / -expm1(-y log(cut/max)) overflows once y log(cut/max) is subnormal
+    with pytest.raises(DomainError, match=r"^x is not finite at y=1e-320$"):
+        decide(1e-320)
 
 
 class TestBetaCurves:

@@ -32,7 +32,6 @@ class TestPureStateNew:
         s = pure_state_new((2, 2, 2), v)
         assert s.dims == (2, 2, 2)
         assert s.amps[0] == 1.0
-        assert not s.renorm_warning
 
     def test_ghz_from_vector(self):
         v = np.zeros(8)
@@ -61,11 +60,10 @@ class TestPureStateNew:
         with pytest.raises(StateError):
             pure_state_new((2, 2, 2), v)
 
-    def test_renorm_warning_flag(self):
+    def test_small_deviation_renormalized(self):
         v = np.zeros(8)
         v[0] = 1.0 + 1e-7
         s = pure_state_new((2, 2, 2), v)
-        assert s.renorm_warning
         assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
@@ -171,7 +169,7 @@ class TestNamedStates:
         assert len(nz) == 6
         assert np.allclose(nz, 1 / math.sqrt(6))
         # swapping any two parties flips the sign
-        t = s.tensor
+        t = s.amps.reshape(3, 3, 3)
         assert np.allclose(np.transpose(t, (1, 0, 2)), -t)
         assert np.allclose(np.transpose(t, (0, 2, 1)), -t)
 
