@@ -106,8 +106,9 @@ def _classify(triples, y, eps):
     x = np.where(unbounded, math.inf, 0.0)
     with np.errstate(all="ignore"):  # only the finite rows are read
         np.divide((lo / cut) ** y, -np.expm1(-y * _log_ratio(cut, hi)), out=x, where=finite)
-    if not np.isfinite(x[finite]).all():
-        raise DomainError(f"x is not finite at y={np.max(y)}")
+    bad = np.flatnonzero(finite & ~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"x is not finite at y={np.broadcast_to(y, x.shape)[bad[0]]}")
     return finite + 2 * unbounded, x, violation
 
 
@@ -242,19 +243,30 @@ class SweepReport:
                               for lo, hi, n in self.histogram]}
 
 
+def _chunk_rows(dims, family, seed, start, stop):
+    """Amplitude rows of sweep samples start..stop - 1 at seed, all in start's chunk.
+
+    Sample i is row i mod _SWEEP_CHUNK of the chunk drawn from
+    ``Generator(PCG64(SeedSequence((seed, i // _SWEEP_CHUNK))))``; a chunk
+    drawn only up to stop has the rows of the full one.
+    """
+    chunk, first = divmod(start, _SWEEP_CHUNK)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), chunk))))
+    return _states.family_rows(dims, family, rng, first + stop - start)[first:]
+
+
 def _sample_state(dims, family, seed, index):
     """The state of sweep sample ``index`` at ``seed``, drawn by the chunk code.
 
     Replays any sample, e.g. a witness, by its index alone.
     """
-    rows = _states.family_rows(dims, family, _states.stream_words(seed, index, index + 1))
-    return _states.PureTripartiteState(tuple(dims), rows[0])
+    row = _chunk_rows(dims, family, seed, index, index + 1)[0]
+    return _states.PureTripartiteState(tuple(dims), row.copy())  # not a view of the chunk
 
 
 def _sweep_chunk(dims, mid, family, y, eps, seed, n, start):
     """(zero, finite, unbounded, violations) counts, finite x and witnesses of one chunk."""
-    stop = min(start + _SWEEP_CHUNK, n)
-    amps = _states.family_rows(dims, family, _states.stream_words(seed, start, stop))
+    amps = _chunk_rows(dims, family, seed, start, min(start + _SWEEP_CHUNK, n))
     triples = _measures._measure_triples(dims, amps, mid)
     kind, x, violation = _classify(triples, y, eps)
     counts = np.append(np.bincount(kind, minlength=3), violation.sum())
@@ -307,7 +319,6 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     if workers > 1 and n >= 4 * _SWEEP_CHUNK:
         from concurrent.futures import ProcessPoolExecutor
 
-        _states._ziggurat_tables()  # once, so that forked workers inherit them
         # about four tasks per worker: fewer round trips, and the last ones still balance
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, starts, chunksize=-(-len(starts) // (4 * workers))))

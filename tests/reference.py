@@ -1,9 +1,10 @@
 """References that tests hold the batch code to; no package path calls them.
 
 Mixed-state formulas on density matrices, the extended-precision three-qubit
-kernel, the dense assistant search and its full-Gram ascent step, family
-states drawn from numpy's own Generators, and x and the residual of a float
-triple at 60 significant digits.
+kernel, the dense assistant search and its full-Gram ascent step, sweep
+chunks drawn from numpy's own Generators, and x and the residual of a float
+triple at 60 significant digits.  ``sweep_rows`` is no reference: it draws
+the sweep samples that property tests read, by the package's chunk code.
 """
 
 import functools
@@ -13,6 +14,7 @@ import numpy as np
 
 from entmono import MeasureError, StateError
 from entmono import measures as m
+from entmono import monogamy
 from entmono.measures import _spinflip_values, formation_of_concurrence
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -214,13 +216,14 @@ def spinflip_kernel(amps) -> np.ndarray:
     return out.astype(float)
 
 
-def numpy_family_rows(dims, family, seeds) -> np.ndarray:
-    """states.family_rows' recipe, each row drawn from numpy's own
-    Generator(PCG64(SeedSequence(s))) for one entry s of seeds."""
+def numpy_chunk_rows(dims, family, seed, chunk, stop) -> np.ndarray:
+    """Rows 0..stop - 1 of sweep chunk ``chunk`` at seed by states.family_rows'
+    recipe, drawn one row at a time from numpy's own
+    Generator(PCG64(SeedSequence((seed, chunk)))) and normalized one at a time."""
     total = dims[0] * dims[1] * dims[2]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
     rows = []
-    for s in seeds:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+    for _ in range(stop):
         if family == "haar":
             raw = rng.standard_normal(2 * total)
             amps = raw[:total] + 1j * raw[total:]
@@ -230,13 +233,22 @@ def numpy_family_rows(dims, family, seeds) -> np.ndarray:
             amps = np.zeros(8, dtype=complex)
             amps[[0, 4, 2, 1]] = b / np.linalg.norm(b)  # |000>, |100>, |010>, |001>
         else:
-            lam = np.abs(rng.standard_normal(5))
+            raw = rng.standard_normal(7)
+            lam = np.abs(raw[:5])
             lam /= np.linalg.norm(lam)
             amps = np.zeros(8, dtype=complex)
             amps[[0, 4, 5, 6, 7]] = lam
-            amps[4] *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            amps[4] *= np.exp(1j * np.arctan2(raw[6], raw[5]))
         rows.append(amps / np.linalg.norm(amps))
     return np.array(rows).reshape(-1, total)
+
+
+def sweep_rows(dims, family, seed, n) -> np.ndarray:
+    """Amplitude rows of the first n samples of a sweep at seed, drawn by the
+    chunk code: the states that property tests sample."""
+    chunk = monogamy._SWEEP_CHUNK
+    return np.concatenate([monogamy._chunk_rows(dims, family, seed, start, min(start + chunk, n))
+                           for start in range(0, n, chunk)])
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -277,7 +277,7 @@ class TestSweep:
             ["sweep", "--dims", "2,2,2", "--measure", "ca", "--family", "schmidt",
              "--samples", "600", "--seed", "11", "--eps", "1e-5", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert " unbounded=13 " in out
+        assert " unbounded=9 " in out
         assert out.endswith("no certificate: unbounded solutions found\n")
         assert json.loads((tmp_path / "sweep_report.json").read_text())["certified_alpha"] is None
 
@@ -289,9 +289,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("family", ["haar", "w", "schmidt"])
     def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch, family):
-        # schmidt rows end in a phase draw, drawn in forked workers with the
-        # tables that sweep derived before the fork.  Four chunks and a partial
-        # one reach the pool threshold; the 2-worker pool must really be made.
+        # each chunk draws from its own Generator, so a forked worker draws the
+        # rows the serial run draws, schmidt phases included.  Four chunks and a
+        # partial one reach the pool threshold; the 2-worker pool must really be made.
         from entmono import monogamy
 
         pools = []

@@ -37,10 +37,9 @@ from entmono.measures import (
     formation_of_concurrence,
 )
 from entmono.monogamy import sweep
-from entmono.states import family_rows, stream_words
 from reference import (_YY, concurrence_of_assistance, dense_assistant_search, eof_two_qubit,
-                       full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum, validate,
-                       von_neumann_entropy, wootters_concurrence)
+                       full_gram_ascent_step, spinflip_kernel, spinflip_sqrt_spectrum, sweep_rows,
+                       validate, von_neumann_entropy, wootters_concurrence)
 
 S2 = 1 / math.sqrt(2)
 S3 = 1 / math.sqrt(3)
@@ -461,7 +460,7 @@ class TestClosedFormKernel:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
                         reason="the reference kernel needs a long double wider than float64")
     def test_extended_precision_reference(self):
-        amps = family_rows((2, 2, 2), "haar", stream_words(5, 0, 512))
+        amps = sweep_rows((2, 2, 2), "haar", 5, 512)
         spectra = spinflip_kernel(amps)
         c = spectra[..., 0] - spectra[..., 1]
         expected = {MeasureId.CONCURRENCE: c,
@@ -478,7 +477,7 @@ class TestThreeQubitIdentities:
     @pytest.mark.parametrize("family", ["haar", "w_class", "schmidt"])
     def test_cut_and_assistance_match_the_old_routes(self, family):
         for seed in range(5):
-            amps = family_rows((2, 2, 2), family, stream_words(seed, 0, 4096))
+            amps = sweep_rows((2, 2, 2), family, seed, 4096)
             t = amps.reshape(-1, 2, 2, 2)
             nu = _norm2(t)
             ca = _measure_triples((2, 2, 2), amps, MeasureId.CONCURRENCE_OF_ASSISTANCE)
@@ -639,7 +638,7 @@ class TestAssistedSearch:
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
     def test_live_search_equals_dense(self, dims):
         # dropping stopped searches changes no value: the old loop stepped all
-        psi = self._searched(dims, family_rows(dims, "haar", stream_words(61, 0, 512)))
+        psi = self._searched(dims, sweep_rows(dims, "haar", 61, 512))
         live = _assistant_search(psi)
         assert live.tobytes() == dense_assistant_search(psi).tobytes()
         assert live.tobytes() == _assistant_search(psi[::-1])[::-1].tobytes()
@@ -676,7 +675,7 @@ class TestAssistedSearch:
             t = t.swapaxes(2, 3)  # the qutrit in B's place, C the assistant
         wide = np.zeros((5,) + dims, dtype=complex)
         wide[:, :, :t.shape[2], :t.shape[3]] = t
-        return np.concatenate([wide.reshape(5, -1), family_rows(dims, "haar", stream_words(62, 0, 8))])
+        return np.concatenate([wide.reshape(5, -1), sweep_rows(dims, "haar", 62, 8)])
 
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 5, 2)])
     def test_screen_equals_full_grid(self, dims):
@@ -693,7 +692,7 @@ class TestAssistedSearch:
     def test_step_equals_full_gram(self):
         # the step computes only the Gram and Hessian entries it reads, each
         # by the operations the full matrices used
-        psi = self._searched((2, 2, 3), family_rows((2, 2, 3), "haar", stream_words(63, 0, 64)))
+        psi = self._searched((2, 2, 3), sweep_rows((2, 2, 3), "haar", 63, 64))
         psi[:8, ..., 1] = 0.0   # Q(-z) = 0
         psi[8:16, ..., 0] = 0.0  # Q(z) = 0
         c, quad, lin = _det_form(psi)
@@ -733,7 +732,7 @@ class TestAssistedSearch:
 def _first_start(dims, seed):
     """(psi, forms, the first start's end n* and value V, the three-start value) of 4096 Haar
     rows, psi with axes A, partner, qubit assistant."""
-    t = family_rows(dims, "haar", stream_words(seed, 0, 4096)).reshape((-1,) + dims)
+    t = sweep_rows(dims, "haar", seed, 4096).reshape((-1,) + dims)
     psi = t.swapaxes(2, 3) if dims[1] == 2 else t
     forms, top, best = measures._grid_starts(psi)
     n, value = measures._refine(measures._GRID[:, top[0]], best[0], np.arange(len(psi)), forms)
@@ -833,7 +832,7 @@ class TestTraceNorm:
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2)])
     def test_haar_rows_match_the_svd(self, dims):
         for seed in range(5):
-            t = family_rows(dims, "haar", stream_words(seed, 0, 4096)).reshape((-1,) + dims)
+            t = sweep_rows(dims, "haar", seed, 4096).reshape((-1,) + dims)
             psi = (t if dims[2] == 3 else t.swapaxes(2, 3)).reshape(-1, 4, 3)
             svd = _spinflip_values(psi).sum(axis=1)
             assert np.all(np.abs(measures._trace_norm(psi) / svd - 1) <= 8 * EPS)

@@ -1,7 +1,5 @@
-import gc
 import json
 import math
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +27,11 @@ from entmono import (
     sweep,
     w_class,
 )
-from entmono import monogamy, states
+from entmono import monogamy
 from entmono.measures import LOG2_3, MeasureError
 from entmono.measures import _measure_triples
 from entmono.monogamy import _KINDS, _classify, _sample_state, _worker_count
-from entmono.states import _StateWords, family_rows, stream_words
-from reference import numpy_family_rows, scale_free_residual, x_exact
+from reference import numpy_chunk_rows, scale_free_residual, sweep_rows, x_exact
 
 EC = entanglement_cost_lookup("antisymmetric_qutrit")
 ALPHA_EC = math.log(2) / math.log(LOG2_3)
@@ -272,7 +269,10 @@ class TestMinAlpha:
     def test_tiny_triple_does_not_underflow(self):
         # residual(t, 64) of this triple underflows to 0.0, which once read as
         # a root at the bracket end 64; the scale-free residual keeps its sign
-        t = measure_triple(_sample_state((2, 2, 2), "schmidt", 11, 65), MeasureId.EOF)
+        state = from_schmidt(SchmidtParams((0.0010235085056958203, 0.8312628549401636,
+                                            0.021645579873068695, 0.5536340026353167,
+                                            0.0449653024567168), 2.6589954696676164))
+        t = measure_triple(state, MeasureId.EOF)
         assert t.e_abc == pytest.approx(7.4456e-6, rel=1e-4)
         assert residual(t, 64.0) == 0.0
         a = min_alpha(t)
@@ -350,9 +350,11 @@ def test_monotonicity_violation_raises(decide):
     lambda y: solve_x(triple(1.0, 0.5, 0.5), y),
     lambda y: beta_curves(triple(1.0, 0.5, 0.5), [y]),
     lambda y: sweep((2, 2, 2), MeasureId.CONCURRENCE, y, 10, 0),
-], ids=["solve_x", "beta_curves", "sweep"])
+    lambda y: beta_curves(triple(1.0, 0.5, 0.5), [1.0, y, 2.0]),
+], ids=["solve_x", "beta_curves", "sweep", "beta_curves_grid"])
 def test_x_not_finite_at_tiny_y(decide):
-    # a Finite x = (min/cut)^y / -expm1(-y log(cut/max)) overflows once y log(cut/max) is subnormal
+    # a Finite x = (min/cut)^y / -expm1(-y log(cut/max)) overflows once y log(cut/max) is
+    # subnormal; the message names that y, also among larger ones in a grid
     with pytest.raises(DomainError, match=r"^x is not finite at y=1e-320$"):
         decide(1e-320)
 
@@ -547,7 +549,7 @@ _SAMPLED_SETS = [(family, mid) for family in ("haar", "w_class", "schmidt")
 
 def _sampled_triples(family, mid, n=200):
     """Rows (cut, e_ab, e_ac) of the first n sweep samples at seed 3."""
-    return _measure_triples((2, 2, 2), family_rows((2, 2, 2), family, stream_words(3, 0, n)), mid)
+    return _measure_triples((2, 2, 2), sweep_rows((2, 2, 2), family, 3, n), mid)
 
 
 class TestExponentAccuracy:
@@ -634,8 +636,9 @@ def _golden_id(case):
 
 
 class TestSweepGoldens:
-    """Sweeps recorded with the per-sample implementation that preceded the
-    batched kernel and chunk classifier.
+    """Sweeps at seed 11, first recorded with the per-sample implementation
+    that preceded the batched kernel and chunk classifier, and re-recorded
+    as below.
 
     Counts and witnesses must match exactly.  The largest finite x of c
     and ca sweeps must agree within 4 ulps: the recording was made on
@@ -677,6 +680,17 @@ class TestSweepGoldens:
     and witness index kept: each largest x now lies within 1.2 ulps of the
     60-digit x of its float triple (the powered gap was up to 2.1e6 ulps
     off), and the w_class x reads 1 + 2.8e-14.
+
+    When each chunk of 2048 samples came to draw from one Generator keyed
+    by (seed, chunk index), in place of one stream per sample, every sample
+    changed and all 13 cases were re-recorded from the new code: ca schmidt
+    at eps 1e-05 went from 13 witnesses to 9, ca schmidt at eps 1e-09 from
+    one witness (index 148) to none, eof schmidt at eps 1e-05 from 12 zeros
+    to 7, and the (2,2,3) ca largest x from 411.9 to 80926.3.  Every c value
+    stays at most 1, and the w_class c and ca x reads 1 + 6.5e-14.  numpy
+    does not promise a fixed Generator stream across versions, so these
+    cases are also what catches a changed stream, on the oldest numpy that
+    CI runs too.
     """
 
     @pytest.mark.parametrize("case", GOLDENS["cases"], ids=_golden_id)
@@ -695,239 +709,135 @@ class TestSweepGoldens:
                 case["max_finite_x"])
 
 
-def _constructor_state(dims, family, seq):
-    """A sweep sample built by the public one-state constructors."""
+_CHUNK = monogamy._SWEEP_CHUNK
+
+
+def _row_normals(dims, family, seed, index):
+    """The normals of sweep sample index at seed, from numpy's own Generator."""
+    k = {"haar": 2 * math.prod(dims), "w_class": 8, "schmidt": 7}[family]
+    chunk, row = divmod(index, _CHUNK)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
+    return rng.standard_normal((row + 1, k))[row]
+
+
+def _constructor_state(dims, family, seed, index):
+    """Sweep sample index at seed built by the public one-state constructors;
+    for haar only the first row of a chunk, which is haar_random's state."""
     if family == "haar":
-        return haar_random(dims, seq)
-    rng = np.random.Generator(np.random.PCG64(seq))
+        assert index % _CHUNK == 0
+        return haar_random(dims, np.random.SeedSequence((seed, index // _CHUNK)))
+    raw = _row_normals(dims, family, seed, index)
     if family == "w_class":
-        raw = rng.standard_normal(8)
         b = raw[:4] + 1j * raw[4:]
         return w_class(*(b / np.linalg.norm(b)))
-    lam = np.abs(rng.standard_normal(5))
+    lam = np.abs(raw[:5])
     lam /= np.linalg.norm(lam)
-    return from_schmidt(SchmidtParams(tuple(lam), rng.uniform(0.0, 2.0 * math.pi)))
+    return from_schmidt(SchmidtParams(tuple(lam), math.atan2(raw[6], raw[5])))
 
 
-def _outputs_read(row, n, phase):
-    """How many PCG64 outputs the Generator seeded with the words row reads
-    for n normals, then a phase if phase."""
-    gen = np.random.Generator(np.random.PCG64(_StateWords(row)))
-    states._draw_row(np.empty(n + phase), gen, n, phase)
-    ref = np.random.PCG64(_StateWords(row))
-    for k in count(1):
-        ref.random_raw()
-        if ref.state == gen.bit_generator.state:
-            return k
+def _recorded_blocks(monkeypatch):
+    """A list that fills with the amplitude blocks that sweep chunks then
+    evaluate; every triple reads zero, so nothing is measured."""
+    blocks = []
 
+    def record(dims, amps, mid):
+        blocks.append(amps.copy())
+        return np.zeros((len(amps), 3))
 
-def _record_redraws(monkeypatch, words):
-    """A list that fills with the indices of the rows of words that
-    ``states._draws`` then redraws by a Generator."""
-    states._ziggurat_tables()  # its self-check draws other streams
-    seeded = {np.random.PCG64(_StateWords(row)).state["state"]["state"]: k
-              for k, row in enumerate(words)}
-    redrawn = []
-    draw_row = states._draw_row
-
-    def recorded(row, rng, n, phase):
-        redrawn.append(seeded[rng.bit_generator.state["state"]["state"]])
-        draw_row(row, rng, n, phase)
-
-    monkeypatch.setattr(states, "_draw_row", recorded)
-    return redrawn
+    monkeypatch.setattr(monogamy._measures, "_measure_triples", record)
+    return blocks
 
 
 class TestChunkSampling:
+    """Sample i at seed s is row i mod 2048 of Generator(PCG64(SeedSequence((s, i // 2048))))."""
+
     @pytest.mark.parametrize("dims,family", [
         ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
-        ((3, 3, 3), "haar"),  # more draws a row than the batched draw takes
+        ((3, 3, 3), "haar"), ((2, 2, 64), "haar"),
     ])
     def test_replay_matches_chunk(self, dims, family):
-        amps = family_rows(dims, family, stream_words(31, 500, 540))
-        for row, i in zip(amps, range(500, 540)):
-            seq = np.random.SeedSequence((31, i))
-            assert row.tobytes() == _sample_state(dims, family, 31, i).amps.tobytes()
-            assert row.tobytes() == _constructor_state(dims, family, seq).amps.tobytes()
+        # a witness replays as its chunk's row, at either end of a chunk and far out
+        for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2**40 + 5):
+            chunk, row = divmod(i, _CHUNK)
+            want = numpy_chunk_rows(dims, family, 31, chunk, row + 1)[row]
+            got = _sample_state(dims, family, 31, i)
+            assert got.dims == dims and got.amps.tobytes() == want.tobytes(), i
+            if family != "haar" or row == 0:
+                assert want.tobytes() == _constructor_state(dims, family, 31, i).amps.tobytes(), i
 
-    @given(seed=st.integers(0, 2**130), start=st.integers(0, 2**32 - 24) | st.integers(0, 2**70),
+    @pytest.mark.parametrize("dims,family", [
+        ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((3, 3, 3), "haar"), ((2, 2, 64), "haar"),
+        ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
+    ])
+    def test_sweep_chunk_is_numpy_chunk(self, monkeypatch, dims, family):
+        # the second of two full chunks: one Generator's rows, drawn row by row by numpy
+        blocks = _recorded_blocks(monkeypatch)
+        monogamy._sweep_chunk(dims, MeasureId.CONCURRENCE, family, 2.0, 1e-9, 5, 2 * _CHUNK, _CHUNK)
+        [block] = blocks
+        assert block.tobytes() == numpy_chunk_rows(dims, family, 5, 1, _CHUNK).tobytes()
+
+    @given(seed=st.integers(0, 2**130), start=st.integers(0, 2**32) | st.integers(0, 2**70),
            n=st.integers(1, 24))
     @example(seed=0, start=0, n=8)
-    @example(seed=2**32 - 1, start=0, n=3)
-    @example(seed=2**32, start=7, n=3)
-    @example(seed=2**64, start=0, n=3)
-    @example(seed=2**100, start=2**32 - 24, n=24)  # entropy longer than the pool, hashed
-    @example(seed=9, start=2**32 - 3, n=6)
-    @example(seed=9, start=2**64 - 3, n=6)
+    @example(seed=2**64, start=_CHUNK - 3, n=3)
+    @example(seed=2**100, start=2**32 - 24, n=24)
     @settings(max_examples=60, deadline=None)
     def test_streams_are_numpy_streams(self, seed, start, n):
-        # numpy's own SeedSequence is the reference for every (seed, index) stream
-        stop = start + n
-        words = stream_words(seed, start, stop)
-        assert words.shape == (n, 4) and words.dtype == np.uint64
-        for row, i in zip(words, range(start, stop)):
-            want = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
-            assert row.tobytes() == want.tobytes()
-        seeds = [(seed, i) for i in range(start, stop)]
+        # numpy's own SeedSequence and Generator are the reference for every
+        # (seed, chunk) stream; the rows are cut at the chunk's end
+        chunk, row = divmod(start, _CHUNK)
+        stop = min(start + n, (chunk + 1) * _CHUNK)
         for dims, family in (((2, 2, 2), "haar"), ((2, 2, 3), "haar"),
                              ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt")):
-            assert (family_rows(dims, family, words).tobytes()
-                    == numpy_family_rows(dims, family, seeds).tobytes())
-
-    def test_chunk_draw_holds_one_generator(self):
-        # a chunk's Generators held at once set off collections that cost
-        # sweeps milliseconds; the draw makes each one as it redraws its row.
-        # (2,2,5) rows take 40 draws, so the redraw loop makes every row's.
-        words = stream_words(3, 0, monogamy._SWEEP_CHUNK)
-        collections = []
-
-        def record(phase, info):
-            collections.append((phase, info["generation"]))
-
-        for dims in ((2, 2, 3), (2, 2, 5)):
-            gc.collect()
-            gc.callbacks.append(record)
-            try:
-                family_rows(dims, "haar", words)
-            finally:
-                gc.callbacks.remove(record)
-            assert collections == [], dims
+            want = numpy_chunk_rows(dims, family, seed, chunk, row + stop - start)[row:]
+            got = monogamy._chunk_rows(dims, family, seed, start, stop)
+            assert got.tobytes() == want.tobytes(), (dims, family)
 
     @pytest.mark.parametrize("dims,family", [
         ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
     ])
     def test_draw_block_boundary(self, monkeypatch, dims, family):
-        # rows past a draw block are drawn by the next block: the same rows, and
-        # the same rows redrawn, as separate calls on the blocks.  At seed 41
-        # every family redraws rows in the first and the last, partial, block.
-        block, n = states._DRAW_BLOCK, 2 * states._DRAW_BLOCK + 77
-        words = stream_words(41, 0, n)
-        redrawn = _record_redraws(monkeypatch, words)
-        rows = family_rows(dims, family, words)
-        assert rows.tobytes() == numpy_family_rows(dims, family, [(41, i) for i in range(n)]).tobytes()
-        whole = redrawn[:]
-        assert min(whole) < block and max(whole) >= 2 * block
-        redrawn.clear()
-        blocks = [family_rows(dims, family, words[i:i + block]) for i in range(0, n, block)]
-        assert np.concatenate(blocks).tobytes() == rows.tobytes()
-        assert redrawn == whole
+        # a sweep's draw blocks are its chunks: samples past a chunk come from
+        # the next chunk's Generator, and the last, partial, chunk is the head of its full draw
+        monkeypatch.setenv("MONO_THREADS", "1")
+        blocks = _recorded_blocks(monkeypatch)
+        sweep(dims, MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 2 * _CHUNK + 77, 41, family=family)
+        assert [len(b) for b in blocks] == [_CHUNK, _CHUNK, 77]
+        for chunk, block in enumerate(blocks):
+            assert block.tobytes() == numpy_chunk_rows(dims, family, 41, chunk, len(block)).tobytes()
 
-    def test_ziggurat_tables_match_numpy_at_boundaries(self):
-        # numpy's draw on a chosen output r, set through the PCG64 state setter:
-        # with increment 1 the state (r - 1) / M steps to r, whose output is r
-        wi, ki, _ = states._ziggurat_tables()
-        gen = np.random.Generator(np.random.PCG64(1))
-        inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
-        for idx in range(256):
-            for rabs in {max(int(ki[idx]) - 1, 0), int(ki[idx])}:
-                for sign in (0, 1):
-                    r = rabs << 9 | sign << 8 | idx
-                    gen.bit_generator.state = {
-                        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": (r - 1) * inverse % 2**128, "inc": 1}}
-                    want = gen.standard_normal()
-                    read_alone = gen.bit_generator.state["state"]["state"] == r
-                    x, fast = states._ziggurat(np.array([r], np.uint64), wi, ki)
-                    assert fast[0] == (rabs < ki[idx]) == read_alone, (idx, rabs)
-                    if read_alone:
-                        assert x.tobytes() == np.float64(want).tobytes(), (idx, rabs)
+    @pytest.mark.parametrize("family", ["haar", "w_class", "schmidt"])
+    def test_rows_do_not_depend_on_samples(self, monkeypatch, family):
+        # rows start..stop of a chunk are those rows of the full chunk, so
+        # sample i reads the same state whatever --samples is
+        monkeypatch.setenv("MONO_THREADS", "1")
+        blocks = _recorded_blocks(monkeypatch)
+        runs = []
+        for n in (1, 100, _CHUNK + 100, 2 * _CHUNK):
+            blocks.clear()
+            sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, n, 41, family=family)
+            runs.append(blocks[:])
+        full = runs[-1]
+        for run in runs:
+            for block, whole in zip(run, full):
+                assert block.tobytes() == whole[:len(block)].tobytes(), len(block)
+        for start, stop in ((0, 1), (5, 9), (_CHUNK - 1, _CHUNK), (1000, _CHUNK)):
+            rows = monogamy._chunk_rows((2, 2, 2), family, 41, _CHUNK + start, _CHUNK + stop)
+            assert rows.tobytes() == full[1][start:stop].tobytes(), (start, stop)
 
-    @pytest.mark.parametrize("dims,family", [
-        ((2, 2, 2), "haar"), ((2, 2, 3), "haar"), ((2, 2, 2), "w_class"), ((2, 2, 2), "schmidt"),
-    ])
-    def test_all_rows_redrawn(self, monkeypatch, dims, family):
-        # with every draw off the fast path, every row is its own Generator's
-        want = numpy_family_rows(dims, family, [(19, i) for i in range(512)])
-        words = stream_words(19, 0, 512)
-        redrawn = _record_redraws(monkeypatch, words)
-        wi, ki, fi = states._ziggurat_tables()
-        monkeypatch.setattr(states, "_ziggurat_tables", lambda: (wi, np.zeros_like(ki), fi))
-        assert family_rows(dims, family, words).tobytes() == want.tobytes()
-        assert redrawn == list(range(512))
-
-    def test_tail_and_idx1_rows(self, monkeypatch):
-        # block whose row 5 first leaves the fast path in the tail (idx 0),
-        # row 6 at idx 1, which has no fast path, and row 66 twice: the tail
-        # and the second slow draw take a Generator, idx 1 the rejection step
-        rows = stream_words(36, 0, 67)
-        r = states._pcg64_outputs(rows, 16)
-        for i in (0, 5, 6, 66):
-            ref = np.random.PCG64(np.random.SeedSequence((36, i)))
-            assert r[:, i].tobytes() == ref.random_raw(16).tobytes()
-        _, fast = states._ziggurat(r, *states._ziggurat_tables()[:2])
-        slow = {i: (r[~fast[:, i], i] & np.uint64(0xFF)).tolist() for i in (5, 6, 66)}
-        assert slow[5][0] == 0 and slow[6][0] == 1 and len(slow[66]) == 2
-        redrawn = _record_redraws(monkeypatch, rows)
-        assert (family_rows((2, 2, 2), "haar", rows).tobytes()
-                == numpy_family_rows((2, 2, 2), "haar", [(36, i) for i in range(67)]).tobytes())
-        assert 5 in redrawn and 66 in redrawn and 6 not in redrawn
-
-    @pytest.mark.parametrize("family,seed,kept,rejected", [
-        ("schmidt", 5, [13], [6]), ("haar", 1, [9, 11], [2, 7]),
-    ])
-    def test_rejection_step_rows(self, monkeypatch, family, seed, kept, rejected):
-        # numpy's rejection step reads one output more for a slow draw it keeps
-        # and two more for one it rejects: the batch settles both kinds with no
-        # Generator, and a schmidt row's phase moves on by as many outputs
-        n, phase = (5, True) if family == "schmidt" else (16, False)
-        words = stream_words(seed, 0, 16)
-        extra = [_outputs_read(row, n, phase) - n - phase for row in words]
-        assert [k for k, e in enumerate(extra) if e == 1] == kept
-        assert [k for k, e in enumerate(extra) if e == 2] == rejected
-        assert all(e <= 2 for e in extra)
-        redrawn = _record_redraws(monkeypatch, words)
-        assert (family_rows((2, 2, 2), family, words).tobytes()
-                == numpy_family_rows((2, 2, 2), family, [(seed, i) for i in range(16)]).tobytes())
-        assert redrawn == []
-
-    def test_few_rows_redrawn(self, monkeypatch):
-        # 20 of seed 1001's first 512 (2,2,2) haar rows reach a Generator;
-        # 112 did while every slow draw sent its row there
-        words = stream_words(1001, 0, 512)
-        redrawn = _record_redraws(monkeypatch, words)
-        assert (family_rows((2, 2, 2), "haar", words).tobytes()
-                == numpy_family_rows((2, 2, 2), "haar", [(1001, i) for i in range(512)]).tobytes())
-        assert len(redrawn) <= 24
-
-    def test_tables_checked_against_numpy(self, monkeypatch):
-        # a numpy whose fast path ends elsewhere than ki fails the probes on
-        # both sides of the boundaries: every draw reading one output, or the
-        # output at ki or at ki - 1 of layer 77 read the wrong way
-        wi, ki, _ = states._ziggurat_tables()
-        at, below = int(ki[77]) << 9 | 77, int(ki[77] - 1) << 9 | 77
-        numpy_normal = states._numpy_normal
-        for moved, layers in ((None, list(range(256))), (at, [77]), (below, [77])):
-            def probe(gen, r, *v):
-                x, alone = numpy_normal(gen, r, *v)
-                return x, moved is None or alone != (r == moved)
-
-            monkeypatch.setattr(states, "_numpy_normal", probe)
-            with pytest.raises(RuntimeError, match="does not reproduce numpy") as exc:
-                states._ziggurat_tables.__wrapped__()
-            assert str(exc.value).endswith(f"layers {layers})"), moved
-
-    def test_accept_thresholds_checked_against_numpy(self):
-        # the rejection-step probe passes the derived fi in every layer, and
-        # fails fi shifted by one layer, or with fi[0] left to the rule, in
-        # every layer that the change moves
-        wi, ki, fi = states._ziggurat_tables()
-        gen = np.random.Generator(np.random.PCG64(1))
-        unset = fi.copy()
-        unset[0] = np.exp(-0.5 * (wi[0] * 2.0**52) ** 2)
-        layers = range(1, 256)
-        assert all(states._numpy_keeps(gen, idx, wi, ki, fi) for idx in layers)
-        for shift in (1, -1):
-            assert not any(states._numpy_keeps(gen, idx, wi, ki, np.roll(fi, shift)) for idx in layers)
-        assert not states._numpy_keeps(gen, 1, wi, ki, unset)
-
-    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
-    def test_state_words_hold_pcg64_seed_only(self, n_words, dtype):
-        # a numpy that seeds PCG64 with another request fails loudly
-        row = np.random.SeedSequence((3, 1)).generate_state(4, np.uint64)
-        words = _StateWords(row)
-        assert words.generate_state(4, np.uint64) is row
-        with pytest.raises(ValueError, match="4 uint64 words"):
-            words.generate_state(n_words, dtype)
+    def test_chunk_draw_holds_one_generator(self, monkeypatch):
+        # each chunk draws from one Generator, seeded (seed, chunk): a sweep
+        # of three chunks makes three, and no Generator a sample
+        monkeypatch.setenv("MONO_THREADS", "1")
+        seeds, generators = [], []
+        seed_sequence, generator = np.random.SeedSequence, np.random.Generator
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda entropy: seeds.append(entropy) or seed_sequence(entropy))
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bit_generator: generators.append(1) or generator(bit_generator))
+        sweep((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, 2 * _CHUNK + 77, 3)
+        assert seeds == [(3, 0), (3, 1), (3, 2)]
+        assert len(generators) == 3
 
 
 class TestWorkerCount:
