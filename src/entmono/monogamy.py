@@ -13,6 +13,7 @@ finite x and defeats monogamy at every exponent.
 
 from __future__ import annotations
 
+import atexit
 import enum
 import functools
 import math
@@ -252,7 +253,7 @@ def _chunk_rows(dims, family, seed, start, stop):
     """
     chunk, first = divmod(start, _SWEEP_CHUNK)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), chunk))))
-    return _states.family_rows(dims, family, rng, first + stop - start)[first:]
+    return _states.family_rows(dims, family, rng, stop - start, skip=first)
 
 
 def _sample_state(dims, family, seed, index):
@@ -290,14 +291,42 @@ def _worker_count(n_chunks):
     return max(1, min(workers, n_chunks))
 
 
+_pool: dict = {}  # worker count -> the process's one kept ProcessPoolExecutor
+
+
+def _close_pool(cancel_futures=False):
+    """Shut the kept pool down, waiting for its workers to exit, and forget it."""
+    while _pool:
+        _pool.popitem()[1].shutdown(wait=True, cancel_futures=cancel_futures)
+
+
+def _pooled_map(chunk, starts, workers):
+    """chunk over starts on the kept pool of this many workers, one run of chunks each."""
+    if workers not in _pool:
+        _close_pool()  # no fork while another pool's threads run
+        from concurrent.futures import ProcessPoolExecutor  # looked up now: a patched class counts
+
+        atexit.unregister(_close_pool)  # one exit hook, however many pools are made
+        atexit.register(_close_pool)
+        _pool[workers] = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(_pool[workers].map(chunk, starts, chunksize=-(-len(starts) // workers)))
+    except BaseException:
+        _close_pool(cancel_futures=True)
+        raise
+
+
 def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
           family: str = "haar", eps: float = DEFAULT_EPS) -> SweepReport:
     """Sample n states, solve for x on each, and aggregate.
 
     Sampling is deterministic in (seed, sample index), so results do not
-    depend on the worker count.  Workers fan out over fixed-size chunks;
-    MONO_THREADS caps the pool.  Each chunk evaluates and classifies its
-    samples in one batch.
+    depend on the worker count.  Workers fan out over fixed-size chunks,
+    one contiguous run of chunks each; MONO_THREADS caps the pool.  The
+    process keeps one pool, made at its first pooled sweep and closed at
+    exit, on a failed sweep or for another worker count: its workers are a
+    snapshot of this process taken when the pool forks.  Each chunk
+    evaluates and classifies its samples in one batch.
     """
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"samples must be a positive integer, got {n!r}")
@@ -317,11 +346,7 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     starts = range(0, n, _SWEEP_CHUNK)
     workers = _worker_count(len(starts))
     if workers > 1 and n >= 4 * _SWEEP_CHUNK:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # about four tasks per worker: fewer round trips, and the last ones still balance
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk, starts, chunksize=-(-len(starts) // (4 * workers))))
+        results = _pooled_map(chunk, starts, workers)
     else:
         results = [chunk(start) for start in starts]
 

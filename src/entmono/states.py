@@ -215,11 +215,13 @@ def _check_family(dims, family):
         raise StateError(f"{family} family is defined on dims (2,2,2)")
 
 
-def family_rows(dims, family, rng, n) -> np.ndarray:
-    """Unit amplitude rows of n random states of a family, drawn from the Generator rng.
+def family_rows(dims, family, rng, n, skip=0) -> np.ndarray:
+    """Unit amplitude rows of n random states of a family, drawn from the Generator rng
+    after the normals of skip rows, which are discarded unnormalized.
 
-    The draws are one ``rng.standard_normal((n, k))`` array, so the rows of
-    a shorter draw are the first rows of a longer one.  haar takes
+    The draws are ``rng.standard_normal((skip, k))`` and ``((n, k))``, the
+    stream of one ``((skip + n, k))`` array, so the rows of a shorter draw
+    are the first rows of a longer one.  haar takes
     k = 2 dA dB dC normals a row (real parts, then imaginary parts);
     w_class takes 8, the real then imaginary parts of b0..b3; schmidt takes
     7, whose first 5 absolute values are l0..l4 and whose last two (z5, z6)
@@ -231,7 +233,9 @@ def family_rows(dims, family, rng, n) -> np.ndarray:
     """
     _check_family(dims, family)
     total = dims[0] * dims[1] * dims[2]
-    raw = rng.standard_normal((n, {"haar": 2 * total, "w_class": 8, "schmidt": 7}[family]))
+    k = {"haar": 2 * total, "w_class": 8, "schmidt": 7}[family]
+    rng.standard_normal((skip, k))
+    raw = rng.standard_normal((n, k))
     if family == "schmidt":
         return _schmidt_rows(unit_rows(np.abs(raw[:, :5])), np.arctan2(raw[:, 6], raw[:, 5]))
     if family == "haar":

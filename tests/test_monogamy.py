@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -861,3 +865,87 @@ class TestWorkerCount:
         monkeypatch.setenv("MONO_THREADS", cap)
         with pytest.raises(DomainError, match="MONO_THREADS"):
             _worker_count(10)
+
+
+class TestKeptPool:
+    """A process keeps one sweep pool: made at its first pooled sweep, and
+    closed at exit, on a failed sweep or for another worker count."""
+
+    N = 4 * _CHUNK + 77  # four chunks and a partial one reach the pool threshold
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """[workers, chunksize of each map] of every pool a sweep makes, on 3 patched CPUs."""
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                super().__init__(max_workers, *args, **kwargs)
+                made.append([max_workers])
+
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                made[-1].append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setenv("MONO_THREADS", "2")
+        return made
+
+    @staticmethod
+    def report(*args, **kwargs):
+        return json.dumps(sweep(*args, **kwargs).to_json_dict())
+
+    def serial(self, monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setenv("MONO_THREADS", "1")
+            return self.report(*args, **kwargs)
+
+    def test_sweeps_share_one_pool(self, monkeypatch, pools):
+        # a c and a ca sweep run on one 2-worker pool, each worker one run of 3 or 2 chunks
+        runs = [((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7),
+                ((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, self.N, 7)]
+        pooled = [self.report(*run) for run in runs]
+        assert pools == [[2, 3, 3]]
+        assert list(monogamy._pool) == [2]
+        assert pooled == [self.serial(monkeypatch, *run) for run in runs]
+
+    def test_new_worker_count_replaces_the_pool(self, monkeypatch, pools):
+        self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
+        old = list(monogamy._pool[2]._processes.values())
+        monkeypatch.setenv("MONO_THREADS", "3")
+        self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
+        assert [p[0] for p in pools] == [2, 3]
+        assert len(old) == 2 and all(p.exitcode is not None for p in old)
+        assert list(monogamy._pool) == [3] and len(monogamy._pool[3]._processes) == 3
+
+    def test_failed_sweep_closes_the_pool(self, monkeypatch, pools):
+        with pytest.raises(DomainError, match=r"^x is not finite at y=1e-320$"):
+            sweep((2, 2, 2), MeasureId.CONCURRENCE, 1e-320, self.N, 7)
+        assert monogamy._pool == {}
+        pooled = self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
+        assert [p[0] for p in pools] == [2, 2]
+        assert pooled == self.serial(monkeypatch, (2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
+
+    def test_exit_closes_the_pool(self):
+        # two pooled sweeps in a fresh interpreter reuse its workers, and exit
+        # ends them with nothing on stderr
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from entmono import MeasureId, monogamy, sweep\n"
+            "for _ in range(2):\n"
+            f"    sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, {self.N}, 7)\n"
+            "    print(*sorted(monogamy._pool[2]._processes))\n"
+        )
+        env = dict(os.environ, MONO_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        first, second = proc.stdout.splitlines()
+        assert first == second and len(first.split()) == 2
+        for pid in map(int, first.split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
