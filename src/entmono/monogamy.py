@@ -18,6 +18,7 @@ import enum
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -291,29 +292,44 @@ def _worker_count(n_chunks):
     return max(1, min(workers, n_chunks))
 
 
-_pool: dict = {}  # worker count -> the process's one kept ProcessPoolExecutor
+_pool = None  # (workers, ProcessPoolExecutor): the process's one kept sweep pool
+_pool_lock = threading.RLock()  # one pooled sweep at a time makes, uses or closes it
 
 
 def _close_pool(cancel_futures=False):
     """Shut the kept pool down, waiting for its workers to exit, and forget it."""
-    while _pool:
-        _pool.popitem()[1].shutdown(wait=True, cancel_futures=cancel_futures)
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            pool, _pool = _pool[1], None
+            pool.shutdown(wait=True, cancel_futures=cancel_futures)
 
 
-def _pooled_map(chunk, starts, workers):
-    """chunk over starts on the kept pool of this many workers, one run of chunks each."""
-    if workers not in _pool:
-        _close_pool()  # no fork while another pool's threads run
-        from concurrent.futures import ProcessPoolExecutor  # looked up now: a patched class counts
+def _forget_pool():
+    """In a forked child: the parent's pool and lock are not this process's to use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
 
-        atexit.unregister(_close_pool)  # one exit hook, however many pools are made
-        atexit.register(_close_pool)
-        _pool[workers] = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return list(_pool[workers].map(chunk, starts, chunksize=-(-len(starts) // workers)))
-    except BaseException:
-        _close_pool(cancel_futures=True)
-        raise
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pooled_map(chunk, starts, workers, chunksize):
+    """chunk over starts on the kept pool of this many workers, chunksize starts a task."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            _close_pool()  # no fork while another pool's threads run
+            from concurrent.futures import ProcessPoolExecutor  # looked up now: a patched class counts
+
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        try:
+            return list(_pool[1].map(chunk, starts, chunksize=chunksize))
+        except BaseException:
+            _close_pool(cancel_futures=True)
+            raise
 
 
 def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
@@ -321,12 +337,14 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     """Sample n states, solve for x on each, and aggregate.
 
     Sampling is deterministic in (seed, sample index), so results do not
-    depend on the worker count.  Workers fan out over fixed-size chunks,
-    one contiguous run of chunks each; MONO_THREADS caps the pool.  The
+    depend on the worker count.  Workers fan out over fixed-size chunks:
+    each takes one contiguous run of the full chunks, and a partial last
+    chunk goes to the first one free.  MONO_THREADS caps the pool.  The
     process keeps one pool, made at its first pooled sweep and closed at
     exit, on a failed sweep or for another worker count: its workers are a
-    snapshot of this process taken when the pool forks.  Each chunk
-    evaluates and classifies its samples in one batch.
+    snapshot of this process taken when the pool forks.  Pooled sweeps from
+    several threads take turns on it, and a forked child makes its own.
+    Each chunk evaluates and classifies its samples in one batch.
     """
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"samples must be a positive integer, got {n!r}")
@@ -346,7 +364,7 @@ def sweep(dims, mid: MeasureId, y: float, n: int, seed: int,
     starts = range(0, n, _SWEEP_CHUNK)
     workers = _worker_count(len(starts))
     if workers > 1 and n >= 4 * _SWEEP_CHUNK:
-        results = _pooled_map(chunk, starts, workers)
+        results = _pooled_map(chunk, starts, workers, -(-(n // _SWEEP_CHUNK) // workers))
     else:
         results = [chunk(start) for start in starts]
 

@@ -902,27 +902,28 @@ class TestKeptPool:
             return self.report(*args, **kwargs)
 
     def test_sweeps_share_one_pool(self, monkeypatch, pools):
-        # a c and a ca sweep run on one 2-worker pool, each worker one run of 3 or 2 chunks
+        # a c and a ca sweep run on one 2-worker pool: each worker one run of
+        # 2 full chunks, and the partial chunk a task of its own
         runs = [((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7),
                 ((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, self.N, 7)]
         pooled = [self.report(*run) for run in runs]
-        assert pools == [[2, 3, 3]]
-        assert list(monogamy._pool) == [2]
+        assert pools == [[2, 2, 2]]
+        assert monogamy._pool[0] == 2
         assert pooled == [self.serial(monkeypatch, *run) for run in runs]
 
     def test_new_worker_count_replaces_the_pool(self, monkeypatch, pools):
         self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
-        old = list(monogamy._pool[2]._processes.values())
+        old = list(monogamy._pool[1]._processes.values())
         monkeypatch.setenv("MONO_THREADS", "3")
         self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
         assert [p[0] for p in pools] == [2, 3]
         assert len(old) == 2 and all(p.exitcode is not None for p in old)
-        assert list(monogamy._pool) == [3] and len(monogamy._pool[3]._processes) == 3
+        assert monogamy._pool[0] == 3 and len(monogamy._pool[1]._processes) == 3
 
     def test_failed_sweep_closes_the_pool(self, monkeypatch, pools):
         with pytest.raises(DomainError, match=r"^x is not finite at y=1e-320$"):
             sweep((2, 2, 2), MeasureId.CONCURRENCE, 1e-320, self.N, 7)
-        assert monogamy._pool == {}
+        assert monogamy._pool is None
         pooled = self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
         assert [p[0] for p in pools] == [2, 2]
         assert pooled == self.serial(monkeypatch, (2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
@@ -937,7 +938,7 @@ class TestKeptPool:
             "from entmono import MeasureId, monogamy, sweep\n"
             "for _ in range(2):\n"
             f"    sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, {self.N}, 7)\n"
-            "    print(*sorted(monogamy._pool[2]._processes))\n"
+            "    print(*sorted(monogamy._pool[1]._processes))\n"
         )
         env = dict(os.environ, MONO_THREADS="2",
                    PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -949,3 +950,28 @@ class TestKeptPool:
         for pid in map(int, first.split()):
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_forked_child_makes_its_own_pool(self):
+        # a child forked after a pooled sweep does not submit to its parent's
+        # pool: its own pooled sweep makes a pool, gives the parent's report,
+        # and ends within the alarm
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import json, os, signal\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from entmono import MeasureId, monogamy, sweep\n"
+            f"run = lambda: json.dumps(sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, {self.N}, 7).to_json_dict())\n"
+            "report, parent_pool = run(), monogamy._pool[1]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(60)\n"
+            "    ok = run() == report and monogamy._pool[1] is not parent_pool\n"
+            "    monogamy._close_pool()\n"
+            "    os._exit(0 if ok else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        env = dict(os.environ, MONO_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
