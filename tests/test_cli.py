@@ -289,19 +289,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("family", ["haar", "w", "schmidt"])
     def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch, family):
-        # each chunk draws from its own Generator, so a forked worker draws the
+        # each chunk draws from its own Generator, so a pool thread draws the
         # rows the serial run draws, schmidt phases included.  Four chunks and a
-        # partial one reach the pool threshold; the 2-worker pool must really be made.
+        # partial one reach the pool threshold; the 2-thread pool must really be made.
         from entmono import monogamy
 
         pools = []
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 super().__init__(max_workers, *args, **kwargs)
                 pools.append(max_workers)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         samples = 4 * monogamy._SWEEP_CHUNK + 77
         reports = []

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -868,26 +869,22 @@ class TestWorkerCount:
 
 
 class TestKeptPool:
-    """A process keeps one sweep pool: made at its first pooled sweep, and
-    closed at exit, on a failed sweep or for another worker count."""
+    """A pooled sweep keeps a thread pool of its own for as long as it runs,
+    and shuts it down before it returns or raises."""
 
     N = 4 * _CHUNK + 77  # four chunks and a partial one reach the pool threshold
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """[workers, chunksize of each map] of every pool a sweep makes, on 3 patched CPUs."""
+        """max_workers of every thread pool a sweep makes, on 3 patched CPUs."""
         made = []
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 super().__init__(max_workers, *args, **kwargs)
-                made.append([max_workers])
+                made.append(max_workers)
 
-            def map(self, fn, *iterables, chunksize=1, **kwargs):
-                made[-1].append(chunksize)
-                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setenv("MONO_THREADS", "2")
         return made
@@ -901,77 +898,73 @@ class TestKeptPool:
             m.setenv("MONO_THREADS", "1")
             return self.report(*args, **kwargs)
 
-    def test_sweeps_share_one_pool(self, monkeypatch, pools):
-        # a c and a ca sweep run on one 2-worker pool: each worker one run of
-        # 2 full chunks, and the partial chunk a task of its own
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_concurrent_sweeps_match_serial(self, monkeypatch, pools, threads):
+        # a c and a ca sweep started at once on two threads: each makes its own
+        # pool, and each report is its serial run's, byte for byte
+        monkeypatch.setenv("MONO_THREADS", str(threads))
         runs = [((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7),
                 ((2, 2, 3), MeasureId.CONCURRENCE_OF_ASSISTANCE, 2.0, self.N, 7)]
-        pooled = [self.report(*run) for run in runs]
-        assert pools == [[2, 2, 2]]
-        assert monogamy._pool[0] == 2
-        assert pooled == [self.serial(monkeypatch, *run) for run in runs]
+        start, reports = threading.Barrier(len(runs)), [None] * len(runs)
 
-    def test_new_worker_count_replaces_the_pool(self, monkeypatch, pools):
-        self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
-        old = list(monogamy._pool[1]._processes.values())
-        monkeypatch.setenv("MONO_THREADS", "3")
-        self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
-        assert [p[0] for p in pools] == [2, 3]
-        assert len(old) == 2 and all(p.exitcode is not None for p in old)
-        assert monogamy._pool[0] == 3 and len(monogamy._pool[1]._processes) == 3
+        def call(i):
+            start.wait()
+            reports[i] = self.report(*runs[i])
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(runs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join()
+        assert pools == [threads] * len(runs)
+        assert reports == [self.serial(monkeypatch, *run) for run in runs]
 
     def test_failed_sweep_closes_the_pool(self, monkeypatch, pools):
+        # every chunk fails at y=1e-320: the sweep raises, drops the chunks still
+        # queued, and leaves no pool thread behind
+        calls, chunk = [], monogamy._sweep_chunk
+
+        def counting_chunk(*args):
+            calls.append(args[-1])
+            return chunk(*args)
+
+        monkeypatch.setattr(monogamy, "_sweep_chunk", counting_chunk)
+        before = set(threading.enumerate())
         with pytest.raises(DomainError, match=r"^x is not finite at y=1e-320$"):
-            sweep((2, 2, 2), MeasureId.CONCURRENCE, 1e-320, self.N, 7)
-        assert monogamy._pool is None
+            sweep((2, 2, 2), MeasureId.CONCURRENCE, 1e-320, 50 * _CHUNK, 7)
+        assert pools == [2]
+        assert set(threading.enumerate()) == before
+        assert len(calls) < 50
         pooled = self.report((2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
-        assert [p[0] for p in pools] == [2, 2]
+        assert pools == [2, 2]
         assert pooled == self.serial(monkeypatch, (2, 2, 2), MeasureId.CONCURRENCE, 2.0, self.N, 7)
 
-    def test_exit_closes_the_pool(self):
-        # two pooled sweeps in a fresh interpreter reuse its workers, and exit
-        # ends them with nothing on stderr
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import os\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from entmono import MeasureId, monogamy, sweep\n"
-            "for _ in range(2):\n"
-            f"    sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, {self.N}, 7)\n"
-            "    print(*sorted(monogamy._pool[1]._processes))\n"
-        )
-        env = dict(os.environ, MONO_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, "")
-        first, second = proc.stdout.splitlines()
-        assert first == second and len(first.split()) == 2
-        for pid in map(int, first.split()):
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-
     def test_forked_child_makes_its_own_pool(self):
-        # a child forked after a pooled sweep does not submit to its parent's
-        # pool: its own pooled sweep makes a pool, gives the parent's report,
-        # and ends within the alarm
+        # two pooled sweeps in a fresh interpreter give one report and leave only
+        # the main thread; a child forked after them makes its own pool, gives the
+        # same report, and ends within the alarm; nothing reaches stderr
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
-            "import json, os, signal\n"
+            "import concurrent.futures, json, os, signal, threading\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from entmono import MeasureId, monogamy, sweep\n"
+            "pools = []\n"
+            "class CountingPool(concurrent.futures.ThreadPoolExecutor):\n"
+            "    def __init__(self, max_workers=None, *args, **kwargs):\n"
+            "        super().__init__(max_workers, *args, **kwargs)\n"
+            "        pools.append(max_workers)\n"
+            "concurrent.futures.ThreadPoolExecutor = CountingPool\n"
+            "from entmono import MeasureId, sweep\n"
             f"run = lambda: json.dumps(sweep((2, 2, 2), MeasureId.CONCURRENCE, 2.0, {self.N}, 7).to_json_dict())\n"
-            "report, parent_pool = run(), monogamy._pool[1]\n"
+            "report = run()\n"
+            "assert run() == report and pools == [2, 2] and threading.active_count() == 1\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(60)\n"
-            "    ok = run() == report and monogamy._pool[1] is not parent_pool\n"
-            "    monogamy._close_pool()\n"
-            "    os._exit(0 if ok else 1)\n"
+            "    os._exit(0 if run() == report and pools == [2, 2, 2] else 1)\n"
             "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
         )
         env = dict(os.environ, MONO_THREADS="2",
                    PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
