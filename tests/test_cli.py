@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from entmono import MeasureId, MeasureTriple, StateError, haar_random, residual, save_state
-from entmono.cli import main, resolve_example
+from entmono.cli import main, resolve_example, run
 from entmono.measures import LOG2_3
 from reference import scale_free_residual
 
@@ -57,6 +57,18 @@ class TestExitCodes:
             ["analyze", "--example", "ghz", "--state", str(p), "--measure", "c"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--example", "ghz", "--measure", "c"], 0),
+        (["analyze", "--example", "e223", "--measure", "ca"], 2),
+        (["bogus"], 1),
+    ], ids=["ghz", "e223", "bogus"])
+    def test_entry_point(self, capsys, monkeypatch, argv, code):
+        # the console script's run() exits with main's code
+        monkeypatch.setattr(sys, "argv", ["entmono", *argv])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == code
 
     def test_missing_state_file(self, capsys):
         code, _, err = run_cli(
@@ -220,6 +232,13 @@ class TestInlineExamples:
         assert np.linalg.norm(s.amps) == pytest.approx(1.0, abs=1e-15)
         assert abs(s.amps[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
+    def test_small_pair_keeps_its_digits(self, capsys):
+        # a pair concurrence far below the three-tangle: no s1 - s2 cancellation
+        code, out, _ = run_cli(["analyze", "--example", "schmidt:0.6,0.1,0,0.00000001,0.79,0",
+                                "--measure", "c"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["triple"][1] / 1.2071220199175132e-08 - 1) <= 1e-15
+
     def test_wrong_arity(self):
         with pytest.raises(StateError):
             resolve_example("wclass:1,0,0")
@@ -287,8 +306,17 @@ class TestSweep:
              "--out", str(tmp_path)], capsys)
         assert code == 1
 
-    @pytest.mark.parametrize("family", ["haar", "w", "schmidt"])
-    def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch, family):
+    @pytest.mark.parametrize("measure, dims, family, seed, code", [
+        *(pytest.param("c", "2,2,2", f, 17, 0, id=f) for f in ("haar", "w", "schmidt")),
+        *(pytest.param("eof", "2,2,2", f, 17, 0, id=f"eof-{f}") for f in ("haar", "w", "schmidt")),
+        # the ca search; seed 7 finds witnesses on every dims, so both runs exit 2.
+        # (2,3,2) searches the AB pair, (2,2,5) rows take 40 normals, and a
+        # qudit above 4 levels is first cut to the 4 its vectors span
+        *(pytest.param("ca", d, "haar", 7, 2, id=f"ca-{d}")
+          for d in ("2,2,3", "2,3,2", "2,2,5", "2,2,64")),
+    ])
+    def test_pooled_report_matches_serial(self, tmp_path, capsys, monkeypatch,
+                                          measure, dims, family, seed, code):
         # each chunk draws from its own Generator, so a pool thread draws the
         # rows the serial run draws, schmidt phases included.  Four chunks and a
         # partial one reach the pool threshold; the 2-thread pool must really be made.
@@ -308,10 +336,10 @@ class TestSweep:
         for threads in ("2", "1"):
             monkeypatch.setenv("MONO_THREADS", threads)
             out = tmp_path / threads
-            code, _, _ = run_cli(
-                ["sweep", "--dims", "2,2,2", "--measure", "c", "--family", family,
-                 "--samples", str(samples), "--seed", "17", "--out", str(out)], capsys)
-            assert code == 0
+            got, _, _ = run_cli(
+                ["sweep", "--dims", dims, "--measure", measure, "--family", family,
+                 "--samples", str(samples), "--seed", str(seed), "--out", str(out)], capsys)
+            assert got == code
             reports.append((out / "sweep_report.json").read_bytes())
         assert pools == [2]
         assert reports[0] == reports[1]
@@ -468,7 +496,9 @@ class TestCertify:
         assert code == 0
         rec = json.loads(out)
         assert rec["kind"] == "relaxed-base"
-        assert rec["alpha"] == pytest.approx(1.709511, abs=1e-5)
+        # afs has b = log2 3 >= 1.5, so alpha = log 2 / log 1.5, verified
+        assert abs(rec["alpha"] - 1.7095112913514547) <= 1e-12
+        assert rec["residual_at_alpha"] >= 0.0
 
     def test_relaxed_needs_c(self, capsys):
         code, _, err = run_cli(
@@ -583,13 +613,14 @@ class TestUsage:
 
 
 def test_import_leaves_scipy_out(tmp_path):
-    """Importing the package loads numpy only, and ca triples run with scipy blocked."""
+    """Importing the package loads numpy only, and ca triples run with scipy blocked,
+    a 1024-level qudit's included."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
     def run(code):
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              check=True).stdout.strip()
+                              check=True, timeout=120).stdout.strip()
 
     assert run("import sys, entmono; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
     codes = run(
@@ -597,7 +628,9 @@ def test_import_leaves_scipy_out(tmp_path):
         "from entmono.cli import main\n"
         "e223 = main(['analyze', '--example', 'e223', '--measure', 'ca'])\n"
         f"sweep = main(['sweep', '--dims', '2,2,3', '--measure', 'ca', '--samples', '64', '--out', {str(tmp_path)!r}])\n"
-        "print('codes', e223, sweep)\n"
+        # the qudit is first cut to the 4 levels its vectors span
+        f"wide = main(['sweep', '--dims', '2,2,1024', '--measure', 'ca', '--samples', '2048', '--seed', '1', '--out', {str(tmp_path / 'wide')!r}])\n"
+        "print('codes', e223, sweep, wide in (0, 2))\n"
     )
-    assert codes.splitlines()[-1] == "codes 2 0"
+    assert codes.splitlines()[-1] == "codes 2 0 True"
     assert json.loads((tmp_path / "sweep_report.json").read_text())["samples"] == 64

@@ -868,7 +868,7 @@ class TestWorkerCount:
             _worker_count(10)
 
 
-class TestKeptPool:
+class TestPooledSweep:
     """A pooled sweep keeps a thread pool of its own for as long as it runs,
     and shuts it down before it returns or raises."""
 
